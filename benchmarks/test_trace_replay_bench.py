@@ -1,9 +1,14 @@
 """Trace capture/replay pipeline benchmarks.
 
-Two layers:
+Three layers:
 
 * pytest-benchmark microbenchmarks of one simulation -- execute-driven
-  vs trace replay of the same program on the same machine config;
+  vs trace replay of the same program on the same machine config --
+  and of one trace capture by the timing-free functional pass;
+* a capture-throughput snapshot: functional capture KIPS against the
+  execute-driven core's KIPS on the same program (the capture cost the
+  core used to pay), recorded under ``capture`` in
+  ``results/BENCH_trace_replay.json``;
 * an end-to-end snapshot (``results/BENCH_trace_replay.json``): two
   real machine-knob sweeps (DBB sizing and BTB sizing -- the sweeps
   whose points share one program and vary only timing structures) run
@@ -31,8 +36,7 @@ from repro.uarch import (
     InOrderCore,
     MachineConfig,
     Trace,
-    TraceCapture,
-    predictor_id,
+    capture_trace,
     replay_inorder,
 )
 from repro.workloads import spec_benchmark
@@ -66,38 +70,44 @@ def test_execute_driven_simulation(benchmark):
     assert result.stats.halted
 
 
-def test_trace_replay_simulation(benchmark):
+def test_functional_capture(benchmark):
     program, machine = _micro_setup()
-    capture = TraceCapture()
+    trace = benchmark(
+        lambda: capture_trace(
+            program, machine.predictor_factory, _MICRO_BUDGET
+        )
+    )
+    assert trace.meta["halted"]
+
+
+def _captured_trace(program, machine):
+    """The execute-driven oracle's result and a functional capture of
+    the same program, round-tripped through the container."""
     result = InOrderCore(machine).run(
-        program, max_instructions=_MICRO_BUDGET, capture=capture
+        program, max_instructions=_MICRO_BUDGET
     )
     trace = Trace.from_bytes(
-        capture.finish(
-            program,
-            result,
-            _MICRO_BUDGET,
-            predictor_id(machine.predictor_factory),
+        capture_trace(
+            program, machine.predictor_factory, _MICRO_BUDGET
         ).to_bytes()
     )
+    return result, trace
+
+
+def test_trace_replay_simulation(benchmark):
+    program, machine = _micro_setup()
+    result, trace = _captured_trace(program, machine)
     replayed = benchmark(lambda: replay_inorder(program, trace, machine))
     assert replayed.stats == result.stats
 
 
-def _captured_trace(program, machine):
-    capture = TraceCapture()
-    result = InOrderCore(machine).run(
-        program, max_instructions=_MICRO_BUDGET, capture=capture
-    )
-    trace = Trace.from_bytes(
-        capture.finish(
-            program,
-            result,
-            _MICRO_BUDGET,
-            predictor_id(machine.predictor_factory),
-        ).to_bytes()
-    )
-    return result, trace
+def _best_of(fn, reps=7):
+    best = float("inf")
+    for _ in range(reps):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def test_replay_scalar_oracle(benchmark, monkeypatch):
@@ -128,17 +138,9 @@ def test_replay_vectorized_snapshot(monkeypatch):
     program, machine = _micro_setup()
     result, trace = _captured_trace(program, machine)
 
-    def best_of(fn, reps=7):
-        best = float("inf")
-        for _ in range(reps):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-
     monkeypatch.setenv("REPRO_REPLAY_VECTORIZED", "0")
-    scalar = best_of(lambda: replay_inorder(program, trace, machine))
-    scalar_ooo = best_of(
+    scalar = _best_of(lambda: replay_inorder(program, trace, machine))
+    scalar_ooo = _best_of(
         lambda: replay_ooo(program, trace, machine, window=64)
     )
 
@@ -148,8 +150,8 @@ def test_replay_vectorized_snapshot(monkeypatch):
     replayed = replay_inorder(program, cold_trace, machine)
     cold = time.perf_counter() - start
     assert replayed.stats == result.stats
-    warm = best_of(lambda: replay_inorder(program, trace, machine))
-    warm_ooo = best_of(
+    warm = _best_of(lambda: replay_inorder(program, trace, machine))
+    warm_ooo = _best_of(
         lambda: replay_ooo(program, trace, machine, window=64)
     )
 
@@ -190,6 +192,33 @@ def test_replay_vectorized_snapshot(monkeypatch):
     )
 
 
+def _capture_throughput():
+    """Capture KIPS: the timing-free functional pass against the
+    execute-driven core it replaced as the capturing run (best of 7,
+    same program and predictor)."""
+    program, machine = _micro_setup()
+    trace = capture_trace(program, machine.predictor_factory, _MICRO_BUDGET)
+    functional = _best_of(
+        lambda: capture_trace(
+            program, machine.predictor_factory, _MICRO_BUDGET
+        )
+    )
+    core = _best_of(
+        lambda: InOrderCore(machine).run(
+            program, max_instructions=_MICRO_BUDGET
+        )
+    )
+    kinst = trace.committed / 1e3
+    return {
+        "workload": "h264ref",
+        "iterations": 120,
+        "instructions": trace.committed,
+        "functional_kips": round(kinst / functional, 1),
+        "core_kips": round(kinst / core, 1),
+        "functional_over_core": round(core / functional, 2),
+    }
+
+
 def _timed_sweep(sweep, tmp_root: pathlib.Path, replay: bool, monkeypatch):
     """One cold run of ``sweep`` with the artifact path on or off."""
     cache_dir = tmp_root / ("replay" if replay else "execute")
@@ -226,6 +255,7 @@ def test_sweep_snapshot(tmp_path, monkeypatch):
             "jobs": 1,
         },
         "lever": "REPRO_TRACE_REPLAY (0 = pre-artifact-store pipeline)",
+        "capture": _capture_throughput(),
         "sweeps": {},
     }
     for name, sweep in sweeps.items():

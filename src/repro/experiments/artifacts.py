@@ -9,10 +9,11 @@ replay-everywhere layer on top of the experiment cache:
 
 * **Traces** (``results/.cache/traces/<key>.trace``): the committed
   stream of one ``(program content, instruction budget[, predictor])``
-  execution, captured by :func:`simulate_inorder` on first need and
-  replayed (bit-identically) for every later simulation of the same
-  program -- across widths, ports, cache geometry, BTB/RAS/DBB sizing,
-  and (for baseline programs) across direction predictors.
+  execution, captured by the timing-free functional pass
+  (:func:`repro.uarch.functional.capture_trace`) on first need and
+  replayed (bit-identically) for every simulation of the same program
+  -- across widths, ports, cache geometry, BTB/RAS/DBB sizing, both
+  cores, and (for baseline programs) across direction predictors.
 * **Prep slices** (``.../preps/<key>.prep``): the derived replay-prep
   layers of one ``(trace content digest, prediction mode, config
   class)`` -- batched predictor bits, RAS/BTB miss sets, stream action
@@ -58,7 +59,7 @@ Environment knobs:
 
 Counter semantics (reported per job via :meth:`ArtifactStore.mark` /
 :meth:`ArtifactStore.delta`, aggregated by manifest schema 4):
-``trace_captures`` counts execute-driven capture runs,
+``trace_captures`` counts functional capture passes,
 ``trace_replays`` counts simulations served from a trace,
 ``trace_hits``/``trace_misses`` count store lookups (memory or disk),
 ``profile_*``/``btrace_*``/``compile_*`` likewise;
@@ -87,7 +88,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..branchpred import BranchStats, measure_trace
 from ..isa.decode import predecode
-from ..uarch import InOrderCore, MachineConfig, collect_branch_trace
+from ..uarch import (
+    InOrderCore,
+    MachineConfig,
+    capture_trace,
+    collect_branch_trace,
+)
 from ..uarch.ooo import OutOfOrderCore
 from ..uarch.replay import (
     replay_inorder,
@@ -96,7 +102,6 @@ from ..uarch.replay import (
 )
 from ..uarch.trace import (
     Trace,
-    TraceCapture,
     TraceError,
     content_digest,
     predictor_id,
@@ -680,6 +685,39 @@ class ArtifactStore:
             ).encode()
         ).hexdigest()
 
+    def _trace_key_for(
+        self, program, config: MachineConfig, max_instructions: int
+    ) -> Optional[str]:
+        """Content address of the trace a simulation of ``program``
+        under ``config`` replays; ``None`` when replay is off or there
+        is no safe address (an unnameable predictor steering a
+        decomposed program), and the caller runs execute-driven."""
+        if not replay_enabled():
+            return None
+        pid = predictor_id(config.predictor_factory)
+        has_decomposed = predecode(program).has_decomposed
+        if has_decomposed and pid is None:
+            return None
+        return self._trace_key(
+            program, max_instructions, pid if has_decomposed else None
+        )
+
+    def _load_or_capture(
+        self, key: str, program, config: MachineConfig, max_instructions: int
+    ) -> Trace:
+        """The stored trace under ``key``, or -- on first sight of the
+        stream -- a functional-first capture
+        (:func:`~repro.uarch.functional.capture_trace`) stored for
+        every later simulation."""
+        trace = self.load_trace(key)
+        if trace is None:
+            trace = capture_trace(
+                program, config.predictor_factory, max_instructions
+            )
+            self.store_trace(key, trace)
+            self._bump("trace_captures")
+        return trace
+
     def simulate_inorder(
         self,
         program,
@@ -688,41 +726,23 @@ class ArtifactStore:
     ):
         """Simulate on the in-order core via the trace fast path.
 
-        First simulation of a program executes once *with capture* and
-        stores the trace; every later simulation -- any width, ports,
-        cache geometry, DBB/BTB/RAS sizing, and (for baseline
-        programs) any predictor -- replays it.  Bit-identical to
+        The first simulation of a program captures its trace with the
+        timing-free functional pass and stores it; every simulation,
+        that first one included -- any width, ports, cache geometry,
+        DBB/BTB/RAS sizing, and (for baseline programs) any predictor
+        -- replays it.  Bit-identical to
         ``InOrderCore(config).run(program, ...)`` by construction and
         by the golden/equivalence suites.
         """
-        if not replay_enabled():
+        key = self._trace_key_for(program, config, max_instructions)
+        if key is None:
             return InOrderCore(config).run(
                 program, max_instructions=max_instructions
             )
-        pid = predictor_id(config.predictor_factory)
-        has_decomposed = predecode(program).has_decomposed
-        if has_decomposed and pid is None:
-            # Unnameable predictor steering a decomposed program: no
-            # safe content address; run execute-driven.
-            return InOrderCore(config).run(
-                program, max_instructions=max_instructions
-            )
-        key = self._trace_key(
-            program, max_instructions, pid if has_decomposed else None
-        )
-        trace = self.load_trace(key)
-        if trace is not None:
-            self._bump("trace_replays")
-            self._ensure_prep(program, trace, config)
-            return replay_inorder(program, trace, config)
-        capture = TraceCapture()
-        result = InOrderCore(config).run(
-            program, max_instructions=max_instructions, capture=capture
-        )
-        trace = capture.finish(program, result, max_instructions, pid)
-        self.store_trace(key, trace)
-        self._bump("trace_captures")
-        return result
+        trace = self._load_or_capture(key, program, config, max_instructions)
+        self._bump("trace_replays")
+        self._ensure_prep(program, trace, config)
+        return replay_inorder(program, trace, config)
 
     def simulate_inorder_sweep(
         self,
@@ -733,73 +753,40 @@ class ArtifactStore:
         """Simulate one program under a whole sweep axis at once.
 
         The sweep front door over :meth:`simulate_inorder`: configs
-        are grouped by ``(trace key, prep slice key)`` -- the content
-        address of the shared replay-prep slice -- and each group of
-        K > 1 points is scored by **one fused pass** over the trace
-        (:func:`repro.uarch.replay.replay_inorder_sweep`), carrying
-        all K lanes' serial state through a single region-memoised
-        walk.  Counter movement proves what happened: ``fused_passes``
-        / ``fused_points`` on fusion, ``fused_fallbacks`` when fusion
-        declined, ``fused_diverges`` when a fused lane failed
-        validation and the per-point path transparently re-ran the
-        group.  Results are returned in config order and are
-        bit-identical to K independent :meth:`simulate_inorder` calls
-        -- fused, fallen back, or per-point.
+        are grouped by trace key (a missing trace is captured
+        functionally once per group) and then by prep slice key --
+        the content address of the shared replay-prep slice -- and
+        each group of K > 1 points is scored by **one fused pass**
+        over the trace (:func:`repro.uarch.replay.replay_inorder_sweep`),
+        carrying all K lanes' serial state through a single
+        region-memoised walk.  Every point replays, the first point of
+        a cold sweep included.  Counter movement proves what happened:
+        ``fused_passes`` / ``fused_points`` on fusion,
+        ``fused_fallbacks`` when fusion declined, ``fused_diverges``
+        when a fused lane failed validation and the per-point path
+        transparently re-ran the group.  Results are returned in
+        config order and are bit-identical to K independent
+        :meth:`simulate_inorder` calls -- fused, fallen back, or
+        per-point.
         """
         configs = list(configs)
-        if not configs:
-            return []
-        if not replay_enabled():
-            return [
-                InOrderCore(config).run(
-                    program, max_instructions=max_instructions
-                )
-                for config in configs
-            ]
-        from ..uarch import replay_vec
-
-        has_decomposed = predecode(program).has_decomposed
         results: List = [None] * len(configs)
         trace_groups: "OrderedDict[str, List[int]]" = OrderedDict()
         for index, config in enumerate(configs):
-            pid = predictor_id(config.predictor_factory)
-            if has_decomposed and pid is None:
-                # Unnameable predictor steering a decomposed program:
-                # no safe content address; run execute-driven.
+            key = self._trace_key_for(program, config, max_instructions)
+            if key is None:
                 results[index] = InOrderCore(config).run(
                     program, max_instructions=max_instructions
                 )
                 continue
-            key = self._trace_key(
-                program, max_instructions, pid if has_decomposed else None
-            )
             trace_groups.setdefault(key, []).append(index)
 
+        from ..uarch import replay_vec
+
         for key, members in trace_groups.items():
-            trace = self.load_trace(key)
-            if trace is None:
-                # First sight of this stream: capture with the first
-                # member (its execute-driven result is the answer for
-                # that point) and replay the rest from the new trace.
-                first = members[0]
-                capture = TraceCapture()
-                result = InOrderCore(configs[first]).run(
-                    program,
-                    max_instructions=max_instructions,
-                    capture=capture,
-                )
-                trace = capture.finish(
-                    program,
-                    result,
-                    max_instructions,
-                    predictor_id(configs[first].predictor_factory),
-                )
-                self.store_trace(key, trace)
-                self._bump("trace_captures")
-                results[first] = result
-                members = members[1:]
-                if not members:
-                    continue
+            trace = self._load_or_capture(
+                key, program, configs[members[0]], max_instructions
+            )
             slice_groups: "OrderedDict[object, List[int]]" = OrderedDict()
             for index in members:
                 skey = replay_vec.prep_slice_key(
@@ -835,32 +822,20 @@ class ArtifactStore:
     ):
         """OOO twin of :meth:`simulate_inorder`.
 
-        The committed stream is core-independent, so an in-order
-        capture replays here too.  On a miss the OOO core (which has
-        no capture hook) just executes; the common caller pattern
-        simulates the in-order core first, which populates the store.
+        The committed stream is core-independent, so the OOO core
+        replays the same trace the in-order front door uses, captured
+        functionally on first need by whichever front door sees the
+        program first.
         """
-        if not replay_enabled():
+        key = self._trace_key_for(program, config, max_instructions)
+        if key is None:
             return OutOfOrderCore(config, window=window).run(
                 program, max_instructions=max_instructions
             )
-        pid = predictor_id(config.predictor_factory)
-        has_decomposed = predecode(program).has_decomposed
-        if has_decomposed and pid is None:
-            return OutOfOrderCore(config, window=window).run(
-                program, max_instructions=max_instructions
-            )
-        key = self._trace_key(
-            program, max_instructions, pid if has_decomposed else None
-        )
-        trace = self.load_trace(key)
-        if trace is not None:
-            self._bump("trace_replays")
-            self._ensure_prep(program, trace, config)
-            return replay_ooo(program, trace, config, window=window)
-        return OutOfOrderCore(config, window=window).run(
-            program, max_instructions=max_instructions
-        )
+        trace = self._load_or_capture(key, program, config, max_instructions)
+        self._bump("trace_replays")
+        self._ensure_prep(program, trace, config)
+        return replay_ooo(program, trace, config, window=window)
 
     def peek_trace(
         self,
@@ -870,15 +845,9 @@ class ArtifactStore:
     ) -> Optional[Trace]:
         """The stored trace a :meth:`simulate_inorder` call would replay
         (without counting a lookup); ``None`` when absent/disabled."""
-        if not replay_enabled():
+        key = self._trace_key_for(program, config, max_instructions)
+        if key is None:
             return None
-        pid = predictor_id(config.predictor_factory)
-        has_decomposed = predecode(program).has_decomposed
-        if has_decomposed and pid is None:
-            return None
-        key = self._trace_key(
-            program, max_instructions, pid if has_decomposed else None
-        )
         trace = self._lru_get(key)
         if trace is None and trace_cache_enabled():
             blob = self._read_verified(self.traces_dir / f"{key}.trace")

@@ -189,8 +189,8 @@ def run_seed(name: str, seed: int, config: RunConfig) -> Dict:
     The TRAIN profile comes from the shared artifact store and the
     width axis runs through the sweep front door
     (:meth:`ArtifactStore.simulate_inorder_sweep`): the first sight of
-    a program executes once with capture, and the remaining widths are
-    scored by one *fused* replay pass over the captured stream
+    a program captures its committed stream with the functional pass,
+    and every width is scored by one *fused* replay pass over it
     (bit-identical to per-width replays; ``REPRO_REPLAY_MULTI=0``
     forces the per-point path).  The per-job artifact counter movement
     is reported under ``"artifacts"`` (manifest schema 4; fused-pass

@@ -6,8 +6,8 @@
 
 Each run covers the experimentally-varied widths (2/4/8 in the paper).
 The per-seed jobs ride the harness's trace fast path: within one
-benchmark the first width executes and captures the committed stream,
-every other width replays it (the engine schedules one seed job per
+benchmark the committed stream is captured once by the functional pass
+and every width replays it (the engine schedules one seed job per
 benchmark as the group leader so siblings find its artifacts).
 """
 

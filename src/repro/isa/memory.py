@@ -8,6 +8,7 @@ on (Section 2.2: "non-faulting or deferred-faulting load instructions").
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Iterable, Tuple, Union
 
 Value = Union[int, float]
@@ -38,13 +39,12 @@ class Memory:
         #: Count of faults suppressed on speculative loads (observability).
         self.faults_suppressed = 0
 
-    def _check(self, address: int) -> bool:
-        return 0 <= address < self.limit
-
+    # The bounds checks are inlined: load/store run once per dynamic
+    # memory instruction in every simulator.
     def load(self, address: int, speculative: bool = False) -> Value:
         if speculative:
             return self.load_speculative(address)[0]
-        if not self._check(address):
+        if not 0 <= address < self.limit:
             raise MemoryFault(f"load from invalid address {address:#x}")
         return self._words.get(address, 0)
 
@@ -63,7 +63,7 @@ class Memory:
         return 0, True
 
     def store(self, address: int, value: Value) -> None:
-        if not self._check(address):
+        if not 0 <= address < self.limit:
             raise MemoryFault(f"store to invalid address {address:#x}")
         self._words[address] = value
 
@@ -90,9 +90,9 @@ class Memory:
 
     def snapshot(self) -> Tuple[Tuple[int, Value], ...]:
         """Sorted (address, value) pairs with zero entries dropped."""
-        return tuple(
-            sorted((a, v) for a, v in self._words.items() if v != 0)
-        )
+        # ``itemgetter(1)`` keeps exactly the pairs with ``v != 0`` (for
+        # int and float words, truthiness is non-zeroness), at C speed.
+        return tuple(sorted(filter(itemgetter(1), self._words.items())))
 
     def __len__(self) -> int:
         return len(self._words)

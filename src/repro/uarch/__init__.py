@@ -8,6 +8,7 @@ from .functional import (
     FunctionalResult,
     always_not_taken,
     always_taken,
+    capture_trace,
     collect_branch_trace,
     execute,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "SimulationResult",
     "always_not_taken",
     "always_taken",
+    "capture_trace",
     "collect_branch_trace",
     "execute",
 ]

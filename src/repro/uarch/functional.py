@@ -1,10 +1,23 @@
 """Timing-free functional executor.
 
-Two uses:
+Three uses, one interpreter loop:
 
 * **Profiling** (the paper's TRAIN runs): execute the baseline program and
   record every conditional branch's (branch_id, outcome) so the selection
   heuristic can measure bias and predictability.
+* **Trace capture** (:func:`capture_trace`): the committed instruction
+  stream every timing replay re-times (:mod:`repro.uarch.trace`).  The
+  stream is timing-invariant, so no caches, BTB, RAS or scoreboard are
+  modelled; the only machine state that steers it is the direction
+  predictor (a decomposed program's PREDICTs commit the predicted path).
+  The pass therefore drives the configured predictor and a
+  :class:`~repro.core.dbb.DecomposedBranchBuffer` in commit order,
+  making exactly the calls the in-order core makes: PREDICT -> lookup
+  plus DBB insert, BRANCH -> lookup+update (the ``predict_and_train``
+  fast path gives identical transitions), RESOLVE -> ``dbb.resolve``
+  of the tail entry.  Capture -> replay is bit-identical to
+  ``InOrderCore.run`` (``tests/golden``, ``tests/uarch/
+  test_capture_differential.py``).
 * **Differential correctness**: the Decomposed Branch Transformation must
   preserve program semantics *regardless of prediction accuracy* -- the
   correction code repairs any misprediction.  This executor takes an
@@ -21,8 +34,10 @@ decode pass with every timing run of the same program.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
+from ..branchpred import DirectionPredictor
+from ..core.dbb import DecomposedBranchBuffer
 from ..isa import Memory, Program
 from ..isa.decode import (
     K_BINOP,
@@ -41,6 +56,7 @@ from ..isa.decode import (
     predecode,
 )
 from .core import SimulationError, _evaluate_row
+from .trace import Trace, TraceCapture, predictor_id
 
 Value = Union[int, float]
 
@@ -75,6 +91,8 @@ def execute(
     predict_policy: PredictPolicy = always_not_taken,
     max_instructions: int = 5_000_000,
     record_branch_trace: bool = False,
+    capture: Optional[TraceCapture] = None,
+    predictor: Optional[DirectionPredictor] = None,
 ) -> FunctionalResult:
     """Run ``program`` functionally.
 
@@ -82,7 +100,31 @@ def execute(
     the RESOLVE on the chosen path then checks the real condition and, on a
     "mispredict", diverts into the correction code exactly as the hardware
     would.
+
+    ``capture`` (with ``predictor``, required alongside it) records the
+    committed stream into a :class:`~repro.uarch.trace.TraceCapture`:
+    the predictor -- not ``predict_policy`` -- then steers every
+    PREDICT and is trained in commit order (see the module docstring).
+    Use :func:`capture_trace` rather than calling this directly.
     """
+    capturing = capture is not None
+    if capturing:
+        if predictor is None:
+            raise ValueError("capture needs the predictor that steers it")
+        predictor_lookup = predictor.lookup
+        predict_and_train = predictor.predict_and_train
+        dbb = DecomposedBranchBuffer()
+        dbb_insert = dbb.insert
+        dbb_resolve = dbb.resolve
+        cap_redirect = capture.redirects.append
+        cap_branch_pred = capture.branch_pred.append
+        cap_branch_taken = capture.branch_taken.append
+        cap_predict_taken = capture.predict_taken.append
+        cap_resolve_diverted = capture.resolve_diverted.append
+        cap_load_addr = capture.load_addrs.append
+        cap_load_suppressed = capture.load_suppressed.append
+        cap_store_addr = capture.store_addrs.append
+        cap_ret_target = capture.ret_targets.append
     decoded = predecode(program)
     rows = decoded.rows
     program_len = decoded.length
@@ -91,6 +133,7 @@ def execute(
     for address, value in program.data.items():
         memory.store(address, value)
     mem_load = memory.load
+    mem_spec_load = memory.load_speculative
     mem_store = memory.store
 
     trace: List[Tuple[int, bool]] = []
@@ -100,6 +143,9 @@ def execute(
     halted = False
     pc = 0
 
+    # Capture records ``pcs`` run-length: sequential commits cost
+    # nothing, and every control transfer appends (commits so far,
+    # target pc) -- see :meth:`TraceCapture.finish`.
     while executed < max_instructions:
         if pc < 0 or pc >= program_len:
             raise SimulationError(
@@ -119,14 +165,33 @@ def execute(
             taken = (regs[row[4]] != 0) == row[12]
             if record_branch_trace:
                 trace_append((row[6], taken))
-            pc = row[5] if taken else pc + 1
+            if taken:
+                pc = row[5]
+            else:
+                pc += 1
+            if capturing:
+                correct = predict_and_train(row[6], taken)
+                cap_branch_pred(taken if correct else not taken)
+                cap_branch_taken(taken)
+                if taken:
+                    cap_redirect(executed)
+                    cap_redirect(pc)
         elif kind == K_LOAD:
-            regs[row[1]] = mem_load(
-                regs[row[4]] + row[3], speculative=row[9]
-            )
+            address = regs[row[4]] + row[3]
+            if row[9]:  # speculative: faults are suppressed
+                regs[row[1]], suppressed = mem_spec_load(address)
+                if capturing:
+                    cap_load_suppressed(suppressed)
+            else:
+                regs[row[1]] = mem_load(address)
+            if capturing:
+                cap_load_addr(address)
             pc += 1
         elif kind == K_STORE:
-            mem_store(regs[row[4]] + row[3], regs[row[2][0]])
+            address = regs[row[4]] + row[3]
+            mem_store(address, regs[row[2][0]])
+            if capturing:
+                cap_store_addr(address)
             pc += 1
         elif kind == K_CONST:
             regs[row[1]] = row[3]
@@ -138,20 +203,54 @@ def execute(
             )
             pc += 1
         elif kind == K_PREDICT:
-            pc = row[5] if predict_policy(row[6]) else pc + 1
+            if capturing:
+                prediction = predictor_lookup(row[6])
+                dbb_insert(prediction, row[6])
+                taken = prediction.taken
+                cap_predict_taken(taken)
+                if taken:
+                    pc = row[5]
+                    cap_redirect(executed)
+                    cap_redirect(pc)
+                else:
+                    pc += 1
+            else:
+                pc = row[5] if predict_policy(row[6]) else pc + 1
         elif kind == K_RESOLVE:
-            if (regs[row[4]] != 0) == row[12]:
+            diverted = (regs[row[4]] != 0) == row[12]
+            if capturing:
+                cap_resolve_diverted(diverted)
+                predicted_dir = row[11]
+                dbb_resolve(
+                    dbb.tail,
+                    (not predicted_dir) if diverted else predicted_dir,
+                    predictor,
+                )
+            if diverted:
                 resolve_mispredicts += 1
                 pc = row[5]
+                if capturing:
+                    cap_redirect(executed)
+                    cap_redirect(pc)
             else:
                 pc += 1
         elif kind == K_JMP:
             pc = row[5]
+            if capturing:
+                cap_redirect(executed)
+                cap_redirect(pc)
         elif kind == K_CALL:
             regs[row[1]] = pc + 1
             pc = row[5]
+            if capturing:
+                cap_redirect(executed)
+                cap_redirect(pc)
         elif kind == K_RET:
             pc = regs[row[4]]
+            if capturing:
+                cap_ret_target(pc)
+                cap_redirect(executed)
+                cap_redirect(pc)
         elif kind == K_NOP:
             pc += 1
         elif kind == K_HALT:
@@ -168,6 +267,38 @@ def execute(
         branch_trace=trace,
         halted=halted,
         resolve_mispredicts=resolve_mispredicts,
+    )
+
+
+def capture_trace(
+    program: Program,
+    predictor_factory: Callable[[], DirectionPredictor],
+    max_instructions: int = 2_000_000,
+) -> Trace:
+    """Functional-first trace capture: the committed stream of
+    ``program`` steered by a fresh ``predictor_factory()`` predictor,
+    with the final architectural state in its ``meta``.
+
+    Replaying the result under any :class:`MachineConfig` with the
+    same predictor (any predictor, for a baseline program) is
+    bit-identical to ``InOrderCore(config).run(program,
+    max_instructions)``.
+    """
+    capture = TraceCapture()
+    result = execute(
+        program,
+        max_instructions=max_instructions,
+        capture=capture,
+        predictor=predictor_factory(),
+    )
+    return capture.finish(
+        program,
+        registers=result.registers,
+        memory=result.memory,
+        committed=result.instructions_executed,
+        halted=result.halted,
+        max_instructions=max_instructions,
+        predictor=predictor_id(predictor_factory),
     )
 
 

@@ -12,14 +12,19 @@ program, whose PREDICT instructions architecturally steer the
 committed path; a baseline program (no PREDICT/RESOLVE) commits a
 predictor-independent stream (``DecodedProgram.has_decomposed``).
 
-:class:`TraceCapture` records that invariant stream during one
-execute-driven run as compact columnar arrays (``array``/packed-bit
-columns); :class:`Trace` is the immutable result, serialisable to a
+Because the stream does not depend on timing, it is captured without
+any: :func:`repro.uarch.functional.capture_trace` runs the timing-free
+functional interpreter, driving only the direction predictor and the
+Decomposed Branch Buffer in commit order, and fills a
+:class:`TraceCapture` with compact columnar arrays (``array``/packed-bit
+columns).  :class:`Trace` is the immutable result, serialisable to a
 zlib-compressed, per-column-checksummed binary container.  The replay
 loops (:mod:`repro.uarch.replay`) re-run only the *timing* machinery
 over a trace -- no register values, no memory contents, no evaluator
-calls -- and are bit-identical to execute-driven simulation (see
-``tests/golden`` and ``tests/uarch/test_trace_replay.py``).
+calls -- and capture -> replay is bit-identical to the execute-driven
+``InOrderCore.run`` (see ``tests/golden``,
+``tests/uarch/test_trace_replay.py`` and
+``tests/uarch/test_capture_differential.py``).
 
 Columns (event-indexed, cursor-advanced by the replay loop):
 
@@ -155,17 +160,23 @@ def predictor_id(factory) -> Optional[str]:
 
 
 class TraceCapture:
-    """Mutable column builder handed to ``InOrderCore.run(capture=...)``.
+    """Mutable column builder the functional pass fills in commit order
+    (:func:`repro.uarch.functional.capture_trace`).
 
-    The core appends raw events (ints; bit columns take 0/1); the
-    harness then calls :meth:`finish` with the finished run to build an
-    immutable :class:`Trace` carrying the final architectural state.
+    The eight event columns take raw appends (ints; bit columns take
+    0/1 or bools).  ``pcs`` is recorded run-length instead: commits are
+    sequential except at control transfers, so the pass appends one
+    ``(commits so far, target pc)`` pair to ``redirects`` per transfer
+    and :meth:`finish` expands the runs -- the interpreter pays nothing
+    per sequential instruction.
     """
 
-    __slots__ = tuple(name for name, _ in _COLUMNS)
+    __slots__ = ("redirects",) + tuple(
+        name for name, _ in _COLUMNS if name != "pcs"
+    )
 
     def __init__(self) -> None:
-        self.pcs = array("i")
+        self.redirects = array("q")
         self.branch_pred = bytearray()
         self.branch_taken = bytearray()
         self.predict_taken = bytearray()
@@ -175,21 +186,40 @@ class TraceCapture:
         self.store_addrs = array("q")
         self.ret_targets = array("i")
 
+    def _expand_pcs(self, committed: int) -> array:
+        """The ``pcs`` column: run ``r`` starts at commit index
+        ``at[r]`` with pc ``target[r]`` and counts up by one per commit
+        until the next run (the first run starts at pc 0)."""
+        pairs = np.frombuffer(self.redirects, dtype=np.int64).reshape(-1, 2)
+        starts = np.concatenate(([0], pairs[:, 0]))
+        targets = np.concatenate(([0], pairs[:, 1]))
+        counts = np.diff(np.append(starts, committed))
+        pcs = np.arange(committed, dtype=np.int64) + np.repeat(
+            targets - starts, counts
+        )
+        column = array("i")
+        column.frombytes(pcs.astype(np.int32).tobytes())
+        return column
+
     def finish(
         self,
         program,
-        result,
+        registers,
+        memory,
+        committed: int,
+        halted: bool,
         max_instructions: int,
         predictor: Optional[str],
     ) -> "Trace":
         """Freeze the capture into a :class:`Trace`.
 
-        ``result`` is the :class:`~repro.uarch.core.SimulationResult`
-        of the capturing run; its architectural outcome (registers,
-        memory snapshot, suppressed faults, halted) travels in the
-        trace so replay can return a complete result.
+        ``registers``, ``memory`` (a :class:`~repro.isa.Memory`),
+        ``committed`` and ``halted`` are the final architectural state
+        of the capturing pass; they travel in the trace's ``meta`` so
+        replay can return a complete result.
         """
         decoded = predecode(program)
+        pcs = self._expand_pcs(committed)
         meta = {
             "schema": TRACE_SCHEMA,
             "program": content_digest(program),
@@ -197,16 +227,18 @@ class TraceCapture:
             "budget": max_instructions,
             "predictor": predictor,
             "has_decomposed": decoded.has_decomposed,
-            "committed": len(self.pcs),
-            "halted": bool(result.stats.halted),
-            "faults_suppressed": result.memory.faults_suppressed,
-            "registers": list(result.registers),
-            "memory": [[a, v] for a, v in result.memory.snapshot()],
+            "committed": len(pcs),
+            "halted": bool(halted),
+            "faults_suppressed": memory.faults_suppressed,
+            "registers": list(registers),
+            # (address, value) tuples: they serialise to the same JSON
+            # pairs that a decoded trace carries as lists.
+            "memory": list(memory.snapshot()),
         }
-        return Trace(
-            meta,
-            **{name: getattr(self, name) for name, _ in _COLUMNS},
-        )
+        columns = {
+            name: getattr(self, name) for name, _ in _COLUMNS if name != "pcs"
+        }
+        return Trace(meta, pcs=pcs, **columns)
 
 
 #: numpy dtype per column typecode (the bit columns are 0/1-per-byte

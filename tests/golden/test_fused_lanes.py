@@ -1,11 +1,12 @@
-"""Sweep-fused replay lanes pinned to the simulator goldens.
+"""Functional capture -> fused replay, pinned to the simulator goldens.
 
 ``tests/uarch/test_replay_multi.py`` proves fused == per-point replay;
-this file closes the loop to the *execute-driven* oracle: a fused
-width sweep over a captured trace must land, lane by lane, on the same
-``sim_goldens.json`` fingerprints the golden suite pins for the
-execute path.  One workload per suite kind keeps it tier-1 sized; the
-full 330-fingerprint sweep stays with ``test_bit_exactness.py``.
+this file closes the loop to the *execute-driven* oracle along the path
+every sweep now takes: for every workload and both program kinds, a
+trace captured by the timing-free functional pass, round-tripped
+through the binary container and scored by one fused width sweep must
+land, lane by lane, on all 330 ``sim_goldens.json`` fingerprints the
+golden suite pins for ``InOrderCore.run``.
 """
 
 from __future__ import annotations
@@ -21,19 +22,14 @@ from repro.compiler import (
 )
 from repro.ir import lower
 from repro.uarch import (
-    InOrderCore,
     MachineConfig,
     Trace,
-    TraceCapture,
-    predictor_id,
+    capture_trace,
     replay_inorder_sweep,
 )
 from repro.workloads import spec_benchmark
 
 from . import generate
-
-#: One workload per suite kind (int2006/fp2006/int2000/fp2000).
-_PICKS = ("h264ref", "bwaves", "bzip200", "ammp00")
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +37,7 @@ def goldens():
     return json.loads(generate.GOLDEN_PATH.read_text())["fingerprints"]
 
 
-@pytest.mark.parametrize("name", _PICKS)
+@pytest.mark.parametrize("name", generate.workload_names())
 def test_fused_lanes_match_goldens(name, goldens):
     spec = spec_benchmark(name, iterations=generate.ITERATIONS)
     profile = profile_program(
@@ -53,25 +49,15 @@ def test_fused_lanes_match_goldens(name, goldens):
         "baseline": compile_baseline(ref, profile=profile).program,
         "decomposed": compile_decomposed(ref, profile=profile).program,
     }
-    capture_machine = MachineConfig.paper_default(width=4)
+    machines = [MachineConfig.paper_default(width=w) for w in generate.WIDTHS]
     for kind, program in programs.items():
-        capture = TraceCapture()
-        result = InOrderCore(capture_machine).run(
-            program,
-            max_instructions=generate.MAX_INSTRUCTIONS,
-            capture=capture,
-        )
         trace = Trace.from_bytes(
-            capture.finish(
+            capture_trace(
                 program,
-                result,
+                machines[0].predictor_factory,
                 generate.MAX_INSTRUCTIONS,
-                predictor_id(capture_machine.predictor_factory),
             ).to_bytes()
         )
-        machines = [
-            MachineConfig.paper_default(width=w) for w in generate.WIDTHS
-        ]
         runs, outcome = replay_inorder_sweep(program, trace, machines)
         assert outcome == "fused"
         for width, run in zip(generate.WIDTHS, runs):

@@ -124,7 +124,9 @@ class TestIntegrity:
         delta = fresh.delta(mark)
         assert delta.get("trace_quarantined") == 1
         assert delta.get("trace_captures") == 1
-        assert "trace_replays" not in delta
+        # The recaptured trace also scores the point: capture is
+        # functional and every simulation replays.
+        assert delta.get("trace_replays") == 1
         assert list((tmp_path / "quarantine").iterdir())
         assert result.stats.committed > 0
         # The recaptured artifact is valid again.
@@ -174,9 +176,10 @@ class TestSweepCapturesOnce:
         manifest = engine.manifest(config)
         artifacts = manifest["totals"]["artifacts"]
         # One REF seed, two program variants (baseline + decomposed):
-        # 2 captures at the first width, 2 replays at the second.
+        # 2 functional captures, then both widths of both variants
+        # replay.
         assert artifacts["trace_captures"] == 2
-        assert artifacts["trace_replays"] == 2
+        assert artifacts["trace_replays"] == 4
         assert artifacts["profile_misses"] == 1
 
     def test_warm_cache_run_skips_all_work(self, tmp_path):
@@ -412,19 +415,11 @@ class TestTraceLru:
 
     @staticmethod
     def _trace_for(program, machine, budget):
-        from repro.uarch import InOrderCore, Trace, TraceCapture
-        from repro.uarch.trace import predictor_id
+        from repro.uarch import Trace, capture_trace
 
-        capture = TraceCapture()
-        result = InOrderCore(machine).run(
-            program, max_instructions=budget, capture=capture
-        )
         return Trace.from_bytes(
-            capture.finish(
-                program,
-                result,
-                budget,
-                predictor_id(machine.predictor_factory),
+            capture_trace(
+                program, machine.predictor_factory, budget
             ).to_bytes()
         )
 

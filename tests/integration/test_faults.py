@@ -449,10 +449,10 @@ class TestFusedDivergence:
         clean = store.simulate_inorder_sweep(
             program, machines, max_instructions=config.max_instructions
         )
-        # Cold store: capture absorbs the first width, the remaining
-        # two lanes score in one fused pass.
+        # Cold store: one functional capture, then all three lanes
+        # score in one fused pass.
         assert store.counters["fused_passes"] == 1
-        assert store.counters["fused_points"] == 2
+        assert store.counters["fused_points"] == 3
         assert store.counters["fused_diverges"] == 0
 
         monkeypatch.setenv(
@@ -475,8 +475,7 @@ class TestFusedDivergence:
     def test_manifest_records_degradation(self, tmp_path, monkeypatch):
         import dataclasses as dc
 
-        # Three widths so a fused pass still happens after trace
-        # capture absorbs the first one.
+        # Three widths, every one of them a lane of the fused pass.
         config = dc.replace(RunConfig.quick(), widths=(2, 4, 8))
         monkeypatch.setenv(
             "REPRO_FAULT_INJECT", "fused_diverge:1.0@seed=5"

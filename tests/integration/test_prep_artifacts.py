@@ -46,14 +46,14 @@ class TestPrepPersistence:
     def test_replay_builds_and_persists_slice(self, store, tmp_path):
         config, baseline, _ = _quick_programs()
         machine = config.machine_for(4)
-        store.simulate_inorder(
-            baseline, machine, max_instructions=config.max_instructions
-        )
         mark = store.mark()
         store.simulate_inorder(
             baseline, machine, max_instructions=config.max_instructions
         )
         delta = store.delta(mark)
+        # First sight: the functional capture is replayed at once, so
+        # this very call builds the slice.
+        assert delta.get("trace_captures") == 1
         assert delta.get("prep_misses") == 1
         assert delta.get("prep_builds") == 1
         files = _prep_files(tmp_path)

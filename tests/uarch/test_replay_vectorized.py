@@ -27,9 +27,8 @@ from repro.uarch import (
     InOrderCore,
     MachineConfig,
     Trace,
-    TraceCapture,
     TraceMismatch,
-    predictor_id,
+    capture_trace,
     replay_inorder,
     replay_ooo,
 )
@@ -56,13 +55,7 @@ def setup():
     machine = MachineConfig.paper_default(width=4)
     traces = {}
     for kind, program in programs.items():
-        capture = TraceCapture()
-        result = InOrderCore(machine).run(
-            program, max_instructions=_BUDGET, capture=capture
-        )
-        trace = capture.finish(
-            program, result, _BUDGET, predictor_id(machine.predictor_factory)
-        )
+        trace = capture_trace(program, machine.predictor_factory, _BUDGET)
         traces[kind] = Trace.from_bytes(trace.to_bytes())
     return programs, traces, machine
 
@@ -130,16 +123,12 @@ def test_env_knob_forces_scalar_oracle(setup, monkeypatch):
     """``REPRO_REPLAY_VECTORIZED=0`` must keep the fast path fully
     out of the loop: no prep is ever attached to the trace."""
     programs, traces, machine = setup
-    capture = TraceCapture()
     result = InOrderCore(machine).run(
-        programs["baseline"], max_instructions=_BUDGET, capture=capture
+        programs["baseline"], max_instructions=_BUDGET
     )
     fresh = Trace.from_bytes(
-        capture.finish(
-            programs["baseline"],
-            result,
-            _BUDGET,
-            predictor_id(machine.predictor_factory),
+        capture_trace(
+            programs["baseline"], machine.predictor_factory, _BUDGET
         ).to_bytes()
     )
     monkeypatch.setenv("REPRO_REPLAY_VECTORIZED", "0")

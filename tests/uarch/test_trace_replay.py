@@ -1,12 +1,13 @@
 """Trace capture -> serialise -> load -> replay must be invisible.
 
-The replay loops (:mod:`repro.uarch.replay`) claim bit-identity with
-execute-driven simulation.  These tests hold them to the same golden
-fingerprints as the simulator itself: for every SPEC-like workload,
-both program kinds, widths 2/4/8, a trace captured at one width --
-and round-tripped through the binary container -- must replay to the
-exact fingerprints ``tests/golden/sim_goldens.json`` records for
-execute-driven runs.  Plus: cross-core replay (in-order capture ->
+Traces are captured by the timing-free functional pass
+(:func:`repro.uarch.capture_trace`), and the replay loops
+(:mod:`repro.uarch.replay`) claim bit-identity with execute-driven
+simulation.  These tests hold the pair to the same golden fingerprints
+as the simulator itself: for every SPEC-like workload, both program
+kinds, widths 2/4/8, one functional capture -- round-tripped through
+the binary container -- must replay to the exact fingerprints
+``tests/golden/sim_goldens.json`` records for execute-driven runs.  Plus: cross-core replay (in-order capture ->
 OOO replay), live-predictor replay of baseline traces, the
 ``TraceMismatch`` guard for decomposed programs, and container
 corruption detection.
@@ -31,10 +32,9 @@ from repro.uarch import (
     MachineConfig,
     OutOfOrderCore,
     Trace,
-    TraceCapture,
     TraceError,
     TraceMismatch,
-    predictor_id,
+    capture_trace,
     replay_inorder,
     replay_ooo,
 )
@@ -64,30 +64,25 @@ def _programs(name: str):
 
 
 def _capture(program, machine, max_instructions=generate.MAX_INSTRUCTIONS):
-    capture = TraceCapture()
-    result = InOrderCore(machine).run(
-        program, max_instructions=max_instructions, capture=capture
+    return capture_trace(
+        program, machine.predictor_factory, max_instructions
     )
-    trace = capture.finish(
-        program,
-        result,
-        max_instructions,
-        predictor_id(machine.predictor_factory),
-    )
-    return result, trace
 
 
 @pytest.mark.parametrize("name", generate.workload_names())
 def test_replay_roundtrip_matches_golden(name, goldens):
-    """Capture once (width 2), serialise, reload, replay at 2/4/8:
-    every replayed run must hash to the execute-driven golden."""
+    """Capture once, serialise, reload, replay at 2/4/8: every
+    replayed run must hash to the execute-driven golden."""
     for kind, program in _programs(name).items():
-        result, trace = _capture(
-            program, MachineConfig.paper_default(width=2)
+        machine = MachineConfig.paper_default(width=2)
+        trace = _capture(program, machine)
+        # Capture -> replay equals InOrderCore.run, which is still the
+        # golden oracle.
+        executed = InOrderCore(machine).run(
+            program, max_instructions=generate.MAX_INSTRUCTIONS
         )
-        # The capturing run itself is unperturbed by capture.
         assert (
-            generate.fingerprint_run(result)
+            generate.fingerprint_run(executed)
             == goldens[f"{name}/{kind}/w2"]
         )
         # Full container round-trip before any replay.
@@ -108,8 +103,7 @@ def test_ooo_replay_matches_execute(name):
     replays bit-identically on the out-of-order core."""
     for kind, program in _programs(name).items():
         machine = MachineConfig.paper_default(width=4)
-        _, trace = _capture(program, machine)
-        trace = Trace.from_bytes(trace.to_bytes())
+        trace = Trace.from_bytes(_capture(program, machine).to_bytes())
         executed = OutOfOrderCore(machine, window=64).run(
             program, max_instructions=generate.MAX_INSTRUCTIONS
         )
@@ -125,7 +119,7 @@ def test_live_predictor_replay_of_baseline_trace():
     program = _programs("h264ref")["baseline"]
     hybrid = MachineConfig.paper_default(width=4)
     assert hybrid.predictor_factory is HybridPredictor
-    _, trace = _capture(program, hybrid)
+    trace = _capture(program, hybrid)
     gshare = hybrid.with_predictor(GSharePredictor)
     executed = InOrderCore(gshare).run(
         program, max_instructions=generate.MAX_INSTRUCTIONS
@@ -141,7 +135,7 @@ def test_decomposed_trace_guards_predictor_identity():
     program = _programs("bzip2")["decomposed"]
     assert predecode(program).has_decomposed
     machine = MachineConfig.paper_default(width=4)
-    _, trace = _capture(program, machine)
+    trace = _capture(program, machine)
     # Same predictor: legal (recorded-bits mode).
     replay_inorder(program, trace, machine)
     with pytest.raises(TraceMismatch):
@@ -155,14 +149,14 @@ def test_trace_rejects_wrong_program():
     # digest genuinely differs from the baseline's.
     programs = _programs("bzip2")
     machine = MachineConfig.paper_default(width=4)
-    _, trace = _capture(programs["baseline"], machine)
+    trace = _capture(programs["baseline"], machine)
     with pytest.raises(TraceMismatch):
         replay_inorder(programs["decomposed"], trace, machine)
 
 
 def test_container_detects_corruption():
     program = _programs("mcf")["baseline"]
-    _, trace = _capture(program, MachineConfig.paper_default(width=2))
+    trace = _capture(program, MachineConfig.paper_default(width=2))
     blob = trace.to_bytes()
     with pytest.raises(TraceError):
         Trace.from_bytes(blob[: len(blob) // 2])  # truncated
@@ -179,8 +173,8 @@ def test_max_outstanding_predicts_is_size_independent():
     program that converts branches, zero for baseline."""
     programs = _programs("bzip2")
     machine = MachineConfig.paper_default(width=4)
-    _, dec_trace = _capture(programs["decomposed"], machine)
-    _, base_trace = _capture(programs["baseline"], machine)
+    dec_trace = _capture(programs["decomposed"], machine)
+    base_trace = _capture(programs["baseline"], machine)
     assert dec_trace.max_outstanding_predicts(
         programs["decomposed"]
     ) >= 1
