@@ -15,9 +15,6 @@ Commands mirror the paper's evaluation artifacts:
 * ``timeline <name>``             -- issue-timeline visualisation
 * ``cache``                       -- list/prune ``results/.cache/`` and
   report the last run's artifact hit/miss counters
-* ``worker <run-dir>``            -- join a queue-backend run as an
-  external worker (shared-filesystem work queue; see EXPERIMENTS.md
-  "Execution backends")
 
 All commands accept ``--iterations N`` and ``--seeds K`` to trade fidelity
 for time, ``--jobs N`` to fan simulation jobs over worker processes
@@ -88,7 +85,6 @@ def _engine(args) -> ExperimentEngine:
             resume=resume is not None,
             job_timeout=getattr(args, "job_timeout", None),
             retries=getattr(args, "retries", None),
-            backend=getattr(args, "backend", None),
         )
         # So an interrupted map() can still leave a partial manifest.
         args.engine.manifest_path = RESULTS_DIR / "run_manifest.json"
@@ -258,12 +254,6 @@ def _cmd_cache(args) -> None:
     print(cachectl.render_report())
 
 
-def _cmd_worker(args) -> None:
-    from .experiments import backends
-
-    sys.exit(backends.queue_worker_main(args.run_dir))
-
-
 def _cmd_timeline(args) -> None:
     from .compiler import compile_baseline, compile_decomposed
     from .uarch import render_timeline
@@ -336,15 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cProfile every engine job (implies --no-cache; equivalent "
         "to REPRO_PROFILE=1) and write per-job top-20 cumulative "
         "summaries next to the run manifest",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["local", "queue"],
-        default=None,
-        help="execution backend for parallel jobs: 'local' (supervised "
-        "in-process pool, the default) or 'queue' (lease-based work "
-        "queue under the cache dir that external 'repro worker' "
-        "processes can join); default: REPRO_BACKEND or 'local'",
     )
     parser.set_defaults(engine=None)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -421,15 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
         "fits in M MiB",
     )
     cache.set_defaults(func=_cmd_cache)
-
-    worker = sub.add_parser("worker")
-    worker.add_argument(
-        "run_dir",
-        help="queue run directory to join (printed by / found under "
-        "<cache>/queue/<run-id>; must be on a filesystem shared with "
-        "the submitting engine)",
-    )
-    worker.set_defaults(func=_cmd_worker)
 
     timeline = sub.add_parser("timeline")
     timeline.add_argument("name")

@@ -3,10 +3,8 @@
 * :mod:`.engine`        -- parallel execution engine + result cache,
   job supervision (fault isolation, retries, timeouts), and the
   checkpoint/resume run journal.
-* :mod:`.backends`      -- pluggable execution backends: the supervised
-  local pool and the lease-based multi-worker queue (``REPRO_BACKEND``).
-* :mod:`.store`         -- durable blob-store protocol (digest-verified
-  ``get``/``put``) under the artifact layer.
+* :mod:`.store`         -- durable digest-verified blob store
+  (:class:`~.store.FileStore`) under the artifact layer.
 * :mod:`.faults`        -- deterministic fault-injection harness
   (``REPRO_FAULT_INJECT``) for exercising the supervision layer.
 * :mod:`.table2`        -- Table 2 (per-benchmark metrics, 4-wide).
@@ -25,13 +23,6 @@ process-wide engine is used, which honours ``REPRO_JOBS`` and the
 ``results/.cache/`` result cache.
 """
 
-from .backends import (
-    Backend,
-    BackendUnavailable,
-    LocalPoolBackend,
-    QueueBackend,
-    queue_worker_main,
-)
 from .engine import ExperimentEngine, default_engine, get_engine
 from .harness import (
     BenchmarkOutcome,
@@ -41,23 +32,16 @@ from .harness import (
     run_seed,
     run_suite,
 )
-
-from .store import FileStore, StoreProtocol
+from .store import FileStore
 
 __all__ = [
-    "Backend",
-    "BackendUnavailable",
     "BenchmarkOutcome",
     "ExperimentEngine",
     "FileStore",
-    "LocalPoolBackend",
-    "QueueBackend",
     "RunConfig",
-    "StoreProtocol",
     "combine_seed_results",
     "default_engine",
     "get_engine",
-    "queue_worker_main",
     "run_benchmark",
     "run_seed",
     "run_suite",

@@ -19,9 +19,9 @@ replay-everywhere layer on top of the experiment cache:
   class)`` -- batched predictor bits, RAS/BTB miss sets, stream action
   codes and the cache-tag pre-pass outputs
   (:mod:`repro.uarch.replay_vec`) -- serialised as numpy columns in a
-  versioned container.  Built at most once fleet-wide, attached
+  versioned container.  Built at most once per cache root, attached
   zero-copy from the shared-memory plane by pool siblings and from
-  the digest-verified blob store by later runs and other hosts.
+  the digest-verified blob store by later runs.
 * **Branch traces** (``.../profiles/<key>.btrace``): the functional
   TRAIN branch-outcome stream, predictor-independent, shared by every
   predictor a sensitivity ladder measures it with.
@@ -65,8 +65,8 @@ Counter semantics (reported per job via :meth:`ArtifactStore.mark` /
 ``profile_*``/``btrace_*``/``compile_*`` likewise;
 ``prep_hits``/``prep_misses`` count prep-slice lookups (shm or disk;
 layers already on the in-process trace object move no counter),
-``prep_builds`` counts slices computed from scratch -- in a warm
-fleet exactly one per ``(trace, predictor, config class)`` --
+``prep_builds`` counts slices computed from scratch -- on a warm
+cache exactly one per ``(trace, predictor, config class)`` --
 ``prep_quarantined`` counts corrupt slice blobs sidelined,
 ``shm_prep_publishes``/``shm_prep_attaches`` the prep traffic on the
 shared-memory plane;
@@ -179,7 +179,7 @@ def prep_cache_enabled() -> bool:
     """Persisted replay-prep slices (``REPRO_PREP_CACHE``): the
     derived-layer cache that lets a replay skip the batched predictor
     pass, the cache-tag pre-pass and the BTB re-simulation entirely
-    when any worker, run, or host already computed them for the same
+    when any worker or earlier run already computed them for the same
     ``(trace content, predictor, config class)``.  Off, prep layers
     are recomputed per process exactly as before (results are
     bit-identical either way)."""
@@ -264,7 +264,7 @@ class ArtifactStore:
     # -- plumbing ----------------------------------------------------------
 
     def _store_name(self, path: pathlib.Path) -> str:
-        """Store-protocol name of an artifact path (root-relative)."""
+        """Blob-store name of an artifact path (root-relative)."""
         return path.relative_to(self.cache_dir).as_posix()
 
     def _quarantine(
@@ -277,7 +277,7 @@ class ArtifactStore:
         self._bump(counter)
 
     def _write_atomic(self, path: pathlib.Path, blob: bytes) -> None:
-        """Durable artifact write through the store protocol: fsync'd
+        """Durable artifact write through the blob store: fsync'd
         atomic rename plus a digest sidecar verified on every read."""
         self.store.put(self._store_name(path), blob)
 
@@ -393,14 +393,12 @@ class ArtifactStore:
         trace object (no counter movement -- in-process memoisation is
         not a cache event), then the shared-memory plane (zero-copy
         attach published by a sibling worker), then the digest-verified
-        blob store (``preps/<key>.prep``, shared across runs and --
-        through the queue backend's shared cache root -- across
-        hosts).  A miss builds every layer once, publishes the slice
-        to the plane and persists it, so the fleet-wide build count
-        per ``(trace content, predictor, config class)`` is exactly
-        one.  Corrupt blobs are quarantined by the store layer and
-        rebuilt transparently -- never a wrong answer, at worst a
-        recompute.
+        blob store (``preps/<key>.prep``, shared across runs).  A
+        miss builds every layer once, publishes the slice to the plane
+        and persists it, so the build count per cache root and
+        ``(trace content, predictor, config class)`` is exactly one.
+        Corrupt blobs are quarantined by the store layer and rebuilt
+        transparently -- never a wrong answer, at worst a recompute.
         """
         if not prep_cache_enabled():
             return

@@ -1,7 +1,7 @@
 """Housekeeping for the on-disk cache (``repro cache``).
 
 The experiment cache root (``results/.cache/`` or ``REPRO_CACHE_DIR``)
-accumulates four kinds of state:
+accumulates seven kinds of state:
 
 * ``results`` -- cached job result JSONs in the cache root (the result
   cache, keyed by job fingerprint);
@@ -9,17 +9,13 @@ accumulates four kinds of state:
 * ``traces``  -- captured instruction traces (``traces/<key>.trace``);
 * ``preps``   -- persisted replay-prep slices (``preps/<key>.prep``):
   the derived predictor/cache/BTB layers one trace replay needs,
-  shared across workers, runs and hosts (see
+  shared across workers and runs (see
   :mod:`repro.uarch.replay_vec`);
 * ``profiles`` -- TRAIN branch traces and measured profiles
   (``profiles/<key>.btrace`` / ``.json``);
 * ``batches``  -- per-batch envelope spools (``batches/<nonce>.jsonl``);
   normally deleted the moment a batch settles, so anything found here
   is the residue of a run that died mid-flight;
-* ``queue``    -- queue-backend run directories (``queue/<run-id>/``:
-  pending/claimed/done job records, leases, worker health); removed
-  when a run closes cleanly, so leftovers are the residue of a run
-  that died mid-flight;
 * ``quarantine`` -- artifacts that failed integrity validation.
 
 Everything here is derived state: deleting any of it costs recompute
@@ -30,15 +26,11 @@ and/or a total size budget (oldest files evicted first).  Store-layer
 blob: a blob entry's size includes its sidecar, pruning a blob
 removes the sidecar with it, and a sidecar whose blob is already gone
 (orphaned by pre-fix prunes) is listed -- and prunable -- on its own.
-Only regular files are ever entries: the ``queue`` section's
-recursive glob walks run *directories*, which are never counted and
-never unlinked.  :func:`verify` offline re-hashes every sidecarred
-blob (``repro cache verify``);
+Only regular files are ever entries.  :func:`verify` offline re-hashes
+every sidecarred blob (``repro cache verify``);
 :func:`artifact_counters` reads the hit/miss counters a schema>=4 run
 manifest aggregated; :func:`batch_totals` reads the schema-5 batch
-and shared-memory accounting; :func:`backend_totals` reads the
-schema-6 execution-backend health block (lease/failover counters,
-per-worker records).
+and shared-memory accounting.
 """
 
 from __future__ import annotations
@@ -58,7 +50,6 @@ SECTIONS: Tuple[Tuple[str, str, str], ...] = (
     ("preps", "preps", "*.prep"),
     ("profiles", "profiles", "*"),
     ("batches", "batches", "*.jsonl"),
-    ("queue", "queue", "**/*"),
     ("quarantine", "quarantine", "*"),
 )
 
@@ -97,12 +88,10 @@ def scan(
 ) -> Dict[str, SectionStats]:
     """Size every cache section (missing directories scan as empty).
 
-    Entries are regular files only -- the ``queue`` section's
-    recursive glob also walks run directories, which must never be
-    counted (their inode sizes are not cache payload) nor handed to
-    prune's ``unlink``.  A store-layer digest sidecar is not its own
-    entry: its size is folded into its blob's entry so the pair is
-    budgeted and pruned as a unit.  A sidecar whose blob is gone
+    Entries are regular files only: a directory is never counted nor
+    handed to prune's ``unlink``.  A store-layer digest sidecar is not
+    its own entry: its size is folded into its blob's entry so the pair
+    is budgeted and pruned as a unit.  A sidecar whose blob is gone
     (orphaned by pre-fix prunes) *is* its own entry, so prune can
     finally collect it.
     """
@@ -253,7 +242,7 @@ def verify(
 
     The hot path only verifies a blob when something *reads* it; this
     walks everything at rest, so bit rot or a torn transfer on a
-    shared cache is found before a run trips over it.  The digest
+    cache is found before a run trips over it.  The digest
     check itself is the store layer's (:meth:`.store.FileStore.
     verify_blob`) -- one hashing discipline, two entry points.  With
     ``quarantine=True`` mismatched blobs move to ``quarantine/`` (and
@@ -371,27 +360,6 @@ def batch_totals(
     }
 
 
-def backend_totals(
-    manifest_path: Optional[pathlib.Path] = None,
-) -> Optional[Dict]:
-    """Schema-6 execution-backend block of the last manifest: which
-    backend drove the run, how often it degraded to the local pool,
-    the summed lease/completion/failover counters, and the per-worker
-    health records.  ``None`` for older manifests."""
-    if manifest_path is None:
-        from .engine import RESULTS_DIR
-
-        manifest_path = RESULTS_DIR / "run_manifest.json"
-    try:
-        manifest = json.loads(pathlib.Path(manifest_path).read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(manifest, dict) or manifest.get("schema", 0) < 6:
-        return None
-    backend = manifest.get("backend")
-    return backend if isinstance(backend, dict) else None
-
-
 def _human(nbytes: int) -> str:
     value = float(nbytes)
     for unit in ("B", "KiB", "MiB", "GiB"):
@@ -444,27 +412,4 @@ def render_report(
         lines.append("last run batch dispatch (manifest schema 5):")
         for name in ("batches", "batch_points", "shm_segments_cleaned"):
             lines.append(f"  {name:<20} {batches[name]}")
-    backend = backend_totals(manifest_path)
-    if backend is not None:
-        lines.append(
-            f"last run execution backend (manifest schema 6): "
-            f"{backend.get('name', '?')}"
-            + (
-                f", degraded to local x{backend['degraded']}"
-                if backend.get("degraded")
-                else ""
-            )
-        )
-        totals = backend.get("totals") or {}
-        for name, value in sorted(totals.items()):
-            lines.append(f"  {name:<20} {value}")
-        workers = backend.get("workers") or {}
-        for worker_id in sorted(workers):
-            record = workers[worker_id]
-            jobs = record.get("jobs_done", 0)
-            reclaimed = record.get("leases_reclaimed", 0)
-            lines.append(
-                f"  worker {worker_id:<16} jobs_done={jobs} "
-                f"leases_reclaimed={reclaimed}"
-            )
     return "\n".join(lines)

@@ -58,10 +58,8 @@ default 2), ``REPRO_JOB_TIMEOUT`` (per-job seconds, 0 = off),
 ``REPRO_FAULT_INJECT`` (fault plan), ``REPRO_SHM=0`` (disable the
 shared-memory trace plane), ``REPRO_BATCH`` (0 = per-job dispatch,
 1 = fuse each whole artifact group, N>1 = cap fused batches at N
-points; default 1), ``REPRO_BACKEND`` (``local`` = supervised pool,
-``queue`` = lease-based multi-worker work queue -- see
-:mod:`.backends`, which also reads ``REPRO_QUEUE_WORKERS``/
-``REPRO_LEASE_TTL``/``REPRO_QUEUE_POLL``/``REPRO_QUEUE_GRACE_S``).
+points; default 1).  A malformed numeric knob raises ``ValueError``
+naming the variable.
 """
 
 from __future__ import annotations
@@ -76,7 +74,14 @@ import secrets
 import tempfile
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    CancelledError,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
+from concurrent.futures.process import BrokenProcessPool
 from typing import (
     Any,
     Callable,
@@ -86,7 +91,6 @@ from typing import (
     Sequence,
 )
 
-from . import backends as backends_mod
 from . import faults, plane
 from .store import quarantine_file
 
@@ -101,14 +105,12 @@ CACHE_SCHEMA = 1
 #: shared profile and compile hits -- see :mod:`.artifacts`); v5 adds
 #: batch accounting (``batches``/``batch_points``), shared-memory plane
 #: counters, per-job ``worker_pid``/``batched``, and a per-worker
-#: artifact-counter breakdown (``workers``); v6 adds the execution
-#: backend block (``backend``: requested backend, degradations,
-#: lease/heartbeat/failover counters, per-queue-worker health records
-#: -- see :mod:`.backends`); v7 adds the persisted replay-prep slice
-#: counters to the per-job/total artifact blocks (``prep_hits``/
-#: ``prep_misses``/``prep_builds``/``prep_quarantined`` plus
+#: artifact-counter breakdown (``workers``); v6 added an execution
+#: backend block (removed again in v9); v7 adds the persisted
+#: replay-prep slice counters to the per-job/total artifact blocks
+#: (``prep_hits``/``prep_misses``/``prep_builds``/``prep_quarantined`` plus
 #: ``shm_prep_publishes``/``shm_prep_attaches`` -- see
-#: :mod:`.artifacts`): a warm fleet shows exactly one ``prep_builds``
+#: :mod:`.artifacts`): a warm run shows exactly one ``prep_builds``
 #: per (trace, predictor, config class) and hits everywhere else;
 #: v8 adds the sweep-fused replay counters to the per-job/total
 #: artifact blocks (``fused_passes``/``fused_points``/
@@ -118,8 +120,11 @@ CACHE_SCHEMA = 1
 #: mirrors: a fused width sweep shows one ``fused_passes`` per
 #: (trace, prep slice) group covering K ``fused_points``, and any
 #: nonzero ``fused_diverges`` records a detected lane divergence
-#: that degraded to (bit-identical) per-point replay.
-MANIFEST_SCHEMA = 8
+#: that degraded to (bit-identical) per-point replay; v9 drops the
+#: execution-backend block and ``engine.backend`` (one supervised
+#: local pool runs every job) and reports that pool's kill-and-respawn
+#: count as ``totals.pool_respawns``.
+MANIFEST_SCHEMA = 9
 
 #: Repo-level results directory (works for the src-layout checkout).
 RESULTS_DIR = pathlib.Path(__file__).resolve().parents[3] / "results"
@@ -335,11 +340,24 @@ def _seed_worker(payload) -> Dict:
     return run_seed(name, seed, config)
 
 
+def _env_number(name: str, parse: Callable[[str], Any], default: Any):
+    """Numeric engine knob ``name`` parsed with ``parse`` (``int`` or
+    ``float``); unset or blank gives ``default``.  A malformed value
+    raises ``ValueError`` naming the variable and what it held."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ValueError(
+            f"{name}={raw!r}: expected {parse.__name__}"
+        ) from None
+
+
 def _env_jobs() -> int:
-    raw = os.environ.get("REPRO_JOBS", "").strip()
-    if raw:
-        return max(1, int(raw))
-    return os.cpu_count() or 1
+    jobs = _env_number("REPRO_JOBS", int, None)
+    return max(1, jobs) if jobs is not None else os.cpu_count() or 1
 
 
 def _env_cache_enabled() -> bool:
@@ -349,34 +367,23 @@ def _env_cache_enabled() -> bool:
 
 
 def _env_retries() -> int:
-    raw = os.environ.get("REPRO_RETRIES", "").strip()
-    return max(0, int(raw)) if raw else 2
+    return max(0, _env_number("REPRO_RETRIES", int, 2))
 
 
 def _env_job_timeout() -> Optional[float]:
-    raw = os.environ.get("REPRO_JOB_TIMEOUT", "").strip()
-    if not raw:
-        return None
-    value = float(raw)
+    value = _env_number("REPRO_JOB_TIMEOUT", float, 0.0)
     return value if value > 0 else None
 
 
 def _env_retry_backoff() -> float:
-    raw = os.environ.get("REPRO_RETRY_BACKOFF", "").strip()
-    return max(0.0, float(raw)) if raw else 0.5
+    return max(0.0, _env_number("REPRO_RETRY_BACKOFF", float, 0.5))
 
 
 def _env_batch() -> int:
     """``REPRO_BATCH``: 0 = per-job dispatch (no fusing), 1 = fuse each
     whole artifact group into one submission (default), N>1 = cap fused
     batches at N points."""
-    raw = os.environ.get("REPRO_BATCH", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 1
+    return max(0, _env_number("REPRO_BATCH", int, 1))
 
 
 def _fuse(members: Sequence[int], cap: int) -> List[tuple]:
@@ -448,7 +455,6 @@ class ExperimentEngine:
         resume: bool = False,
         job_timeout: Optional[float] = None,
         retries: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.jobs = max(1, jobs) if jobs is not None else _env_jobs()
         if cache_dir is not None:
@@ -470,15 +476,6 @@ class ExperimentEngine:
         )
         self.retries = retries if retries is not None else _env_retries()
         self.retry_backoff = _env_retry_backoff()
-        #: Execution backend (``local``/``queue``, see :mod:`.backends`).
-        if backend is not None and backend not in backends_mod.BACKEND_NAMES:
-            raise ValueError(
-                f"backend={backend!r}; expected one of "
-                f"{backends_mod.BACKEND_NAMES}"
-            )
-        self.backend = (
-            backend if backend is not None else backends_mod.env_backend()
-        )
         #: When set (the CLI does), a partial manifest is written here if
         #: a run is interrupted mid-:meth:`map`.
         self.manifest_path: Optional[pathlib.Path] = None
@@ -507,13 +504,8 @@ class ExperimentEngine:
         self.batch_points = 0
         #: Shared-memory segments unlinked at run end.
         self.shm_segments_cleaned = 0
-        #: Times a queue run degraded to the local backend mid-map.
-        self.backend_degraded = 0
-        #: Lease/heartbeat/failover counters summed over every backend
-        #: this engine drove (see :meth:`Backend.health`).
-        self.backend_totals: Dict[str, int] = {}
-        #: Per-queue-worker health records (latest heartbeat wins).
-        self.backend_workers: Dict[str, Dict] = {}
+        #: Pools killed and respawned (watchdog timeouts, broken pools).
+        self.pool_respawns = 0
         #: Prefix of the most recent parallel map's shm segments (kept
         #: after cleanup so tests can assert the namespace is empty).
         self.last_shm_prefix: Optional[str] = None
@@ -615,13 +607,6 @@ class ExperimentEngine:
                 "retries": self.retries,
                 "job_timeout_s": self.job_timeout,
                 "fault_inject": plan.spec() if plan else None,
-                "backend": self.backend,
-            },
-            "backend": {
-                "name": self.backend,
-                "degraded": self.backend_degraded,
-                "totals": self.backend_totals,
-                "workers": self.backend_workers,
             },
             "totals": {
                 "jobs": len(self.records),
@@ -635,6 +620,7 @@ class ExperimentEngine:
                 "fused_passes": artifact_totals.get("fused_passes", 0),
                 "fused_points": artifact_totals.get("fused_points", 0),
                 "shm_segments_cleaned": self.shm_segments_cleaned,
+                "pool_respawns": self.pool_respawns,
                 "ok": counts["ok"],
                 "failed": counts["failed"],
                 "timeout": counts["timeout"],
@@ -1044,70 +1030,25 @@ class ExperimentEngine:
         self, worker, payloads, labels, keys, states, pending, tick,
         groups=None,
     ) -> None:
-        """Route the parallel path through the configured backend.
-
-        ``queue`` drives a :class:`~.backends.QueueBackend` and, when
-        it trips its circuit breaker (:class:`BackendUnavailable`: no
-        live workers past the respawn budget, repeated shared-dir I/O
-        errors), *degrades*: every job still pending is re-driven
-        through a fresh :class:`~.backends.LocalPoolBackend` so the
-        sweep completes on the local host.  ``local`` is today's
-        supervised pool, unchanged.
-        """
-        if self.backend == "queue":
-            backend = backends_mod.QueueBackend(
-                self.cache_dir / "queue",
-                workers=backends_mod.env_queue_workers(self.jobs),
-                retries=self.retries,
-                worker_env=self._worker_env(),
-            )
-            try:
-                self._run_backend(
-                    backend, worker, payloads, labels, keys, states,
-                    pending, tick, groups=groups,
-                )
-                return
-            except backends_mod.BackendUnavailable:
-                self.backend_degraded += 1
-                pending = [
-                    i for i in pending if states[i].status == "pending"
-                ]
-                if not pending:
-                    return
-        local = backends_mod.LocalPoolBackend(
-            max_workers=min(self.jobs, len(pending)),
-            job_timeout=self.job_timeout,
-            worker_env=self._worker_env(),
-        )
-        self._run_backend(
-            local, worker, payloads, labels, keys, states, pending,
-            tick, groups=groups,
-        )
-
-    def _merge_backend_health(self, health: Dict) -> None:
-        for name, value in (health.get("counters") or {}).items():
-            if isinstance(value, (int, float)):
-                self.backend_totals[name] = (
-                    self.backend_totals.get(name, 0) + value
-                )
-        self.backend_workers.update(health.get("workers") or {})
-
-    def _run_backend(
-        self, backend, worker, payloads, labels, keys, states, pending,
-        tick, groups=None,
-    ) -> None:
-        """Generic driver: scheduling policy over a :class:`Backend`.
+        """The supervised pool: one lazily (re)spawned
+        :class:`ProcessPoolExecutor` runs every pending job.
 
         Queue entries are ``(ids, attempt, not_before)`` where ``ids``
         is a tuple of payload indices: a single-element tuple is a
         plain job, a longer one a fused batch (:func:`_run_job_batch`).
-        The backend turns submissions into :class:`BackendEvent`\\ s:
-        ``done`` envelopes are absorbed (batch or single), ``error``
-        is a deterministic failure (never retried), ``infra`` recovers
-        any spooled batch points then retries the remainder with the
-        attempt charged and exponential-backoff-with-jitter delay, and
-        ``requeue`` (an innocent victim of a pool kill) retries
-        uncharged.
+        At most one submission per worker is in flight.  A finished
+        future's envelope is absorbed (batch or single); a future that
+        raises outside the worker function (e.g. its envelope failed to
+        unpickle) is a deterministic failure, never retried.  A dead
+        worker breaks the pool: every future on it settles as a
+        charged ``broken-pool`` infrastructure fault and the pool is
+        respawned.  The per-job deadline watchdog (``job_timeout``
+        seconds per point) can only kill whole pools: expired
+        submissions are charged a ``timeout``, ones that finished in
+        the meantime fold normally, and still-running innocents requeue
+        uncharged.  A charged fault first recovers any spooled batch
+        points, then retries the remainder after an
+        exponential-backoff-with-jitter delay (:meth:`_infra_fault`).
 
         Artifact groups (see :meth:`map`): the first pending member of
         each group enters the queue as leader; the rest wait in
@@ -1115,10 +1056,12 @@ class ExperimentEngine:
         terminal status (ok *or* failed -- followers of a failed
         leader still run, they just find a cold artifact store).  On
         release the group's followers are fused into batches of up to
-        ``REPRO_BATCH`` points (backends may override: the queue
-        backend forces per-point jobs, its unit of failover).
+        ``REPRO_BATCH`` points.
         """
-        batch_cap = backend.batch_cap(_env_batch())
+        max_workers = min(self.jobs, len(pending))
+        timeout = self.job_timeout
+        poll_s = max(0.01, min(0.1, timeout / 5.0)) if timeout else 0.1
+        batch_cap = _env_batch()
         queue: List[tuple] = []
         held: Dict[Any, List[int]] = {}
         leaders: Dict[Any, int] = {}
@@ -1131,65 +1074,135 @@ class ExperimentEngine:
                 queue.append(((i,), 0, 0.0))
             else:
                 held.setdefault(group, []).append(i)
-        outstanding: Dict[Any, tuple] = {}
+        #: future -> (ids, attempt, spool, deadline)
+        inflight: Dict[Future, tuple] = {}
+        pool: Optional[ProcessPoolExecutor] = None
 
-        def absorb_event(event) -> None:
-            meta = outstanding.pop(event.handle, None)
-            if meta is None:
-                return
-            ids, attempt, spool = meta
-            used = event.attempt if event.attempt is not None else attempt
-            if event.kind == "done":
-                envelope = event.envelope or {}
-                if envelope.get("status") == "batch":
-                    self._discard_spool(spool)
-                    envelopes = envelope.get("envelopes") or []
-                    for j, env in enumerate(envelopes[: len(ids)]):
-                        self._absorb(
-                            ids[j], used, env, labels, keys, states,
-                            tick, batched=True,
-                        )
-                    for i in ids[len(envelopes):]:
-                        states[i].attempts = attempt + 1
-                        self._fail(
-                            i,
-                            "failed",
-                            {
-                                "type": "IncompleteBatch",
-                                "message": "batch returned fewer "
-                                "envelopes than points",
-                                "traceback": "",
-                            },
-                            labels, keys, states,
-                        )
-                        tick(i)
-                    self.batches += 1
-                    self.batch_points += min(len(envelopes), len(ids))
-                else:
-                    self._discard_spool(spool)
-                    self._absorb(
-                        ids[0], used, envelope, labels, keys, states,
-                        tick,
+        def respawn() -> None:
+            nonlocal pool
+            if pool is not None:
+                _kill_pool(pool)
+                pool = None
+                self.pool_respawns += 1
+
+        def submit(ids: tuple, attempt: int) -> bool:
+            nonlocal pool
+            if pool is None:
+                pool = ProcessPoolExecutor(
+                    max_workers=max_workers,
+                    initializer=_pool_worker_init,
+                    initargs=(self._worker_env(),),
+                )
+            spool = self._new_spool() if len(ids) > 1 else None
+            try:
+                if spool is None:
+                    future = pool.submit(
+                        _run_timed, worker, payloads[ids[0]],
+                        labels[ids[0]], attempt,
                     )
-            elif event.kind == "error":
+                else:
+                    future = pool.submit(
+                        _run_job_batch, worker,
+                        [(payloads[i], labels[i]) for i in ids],
+                        attempt, str(spool),
+                    )
+            except Exception:
+                # The pool broke between loops; kill it so outstanding
+                # futures settle (as broken-pool faults on the next
+                # poll) and re-offer this entry uncharged.
+                self._discard_spool(spool)
+                respawn()
+                return False
+            deadline = (
+                time.monotonic() + timeout * len(ids) if timeout else None
+            )
+            inflight[future] = (ids, attempt, spool, deadline)
+            return True
+
+        def charge(ids, attempt, spool, fault, exc) -> None:
+            remaining = self._recover_batch(
+                ids, attempt, spool, labels, keys, states, tick
+            )
+            self._infra_fault(
+                queue, remaining, attempt, fault, exc,
+                labels, keys, states, tick,
+            )
+
+        def fail_all(ids, attempt, error) -> None:
+            for i in ids:
+                states[i].attempts = attempt + 1
+                self._fail(i, "failed", error, labels, keys, states)
+                tick(i)
+
+        def settle(future: Future) -> bool:
+            """Fold one finished future; True when its pool is broken."""
+            ids, attempt, spool, _ = inflight.pop(future)
+            try:
+                envelope = future.result() or {}
+            except (BrokenProcessPool, CancelledError) as exc:
+                charge(ids, attempt, spool, "broken-pool", exc)
+                return True
+            except Exception as exc:
                 # e.g. the envelope failed to unpickle: deterministic.
                 self._discard_spool(spool)
-                for i in ids:
-                    states[i].attempts = attempt + 1
-                    self._fail(
-                        i, "failed", _error_dict(event.error),
-                        labels, keys, states,
+                fail_all(ids, attempt, _error_dict(exc))
+                return False
+            self._discard_spool(spool)
+            if envelope.get("status") != "batch":
+                self._absorb(
+                    ids[0], attempt, envelope, labels, keys, states, tick
+                )
+                return False
+            envelopes = envelope.get("envelopes") or []
+            for j, env in enumerate(envelopes[: len(ids)]):
+                self._absorb(
+                    ids[j], attempt, env, labels, keys, states, tick,
+                    batched=True,
+                )
+            fail_all(
+                ids[len(envelopes):], attempt,
+                {
+                    "type": "IncompleteBatch",
+                    "message": "batch returned fewer envelopes than "
+                    "points",
+                    "traceback": "",
+                },
+            )
+            self.batches += 1
+            self.batch_points += min(len(envelopes), len(ids))
+            return False
+
+        def watchdog() -> None:
+            now = time.monotonic()
+            expired = {
+                future
+                for future, (_, _, _, deadline) in inflight.items()
+                if deadline is not None
+                and now >= deadline
+                and not future.done()
+            }
+            if not expired:
+                return
+            # Classify before the kill, which settles every future
+            # still on the pool: expired submissions are charged a
+            # timeout, completed-in-the-meantime ones fold normally,
+            # innocents requeue uncharged.
+            finished = {future for future in inflight if future.done()}
+            victims = list(inflight)
+            respawn()
+            for future in victims:
+                if future in finished:
+                    settle(future)
+                    continue
+                ids, attempt, spool, _ = inflight.pop(future)
+                if future in expired:
+                    exc = TimeoutError(
+                        f"job {labels[ids[0]]!r} (batch of {len(ids)}) "
+                        f"exceeded {timeout * len(ids):g}s "
+                        f"(attempt {attempt})"
                     )
-                    tick(i)
-            elif event.kind == "infra":
-                remaining = self._recover_batch(
-                    ids, attempt, spool, labels, keys, states, tick
-                )
-                self._infra_fault(
-                    queue, remaining, attempt, event.fault, event.error,
-                    labels, keys, states, tick,
-                )
-            elif event.kind == "requeue":
+                    charge(ids, attempt, spool, "timeout", exc)
+                    continue
                 remaining = self._recover_batch(
                     ids, attempt, spool, labels, keys, states, tick
                 )
@@ -1197,37 +1210,24 @@ class ExperimentEngine:
                     queue.append((remaining, attempt, 0.0))
 
         try:
-            while queue or outstanding or held:
-                if held:
-                    for group in list(held):
-                        if states[leaders[group]].status != "pending":
-                            for ids in _fuse(held.pop(group), batch_cap):
-                                queue.append((ids, 0, 0.0))
+            while queue or inflight or held:
+                for group in list(held):
+                    if states[leaders[group]].status != "pending":
+                        for ids in _fuse(held.pop(group), batch_cap):
+                            queue.append((ids, 0, 0.0))
                 now = time.monotonic()
                 deferred: List[tuple] = []
                 for entry in queue:
                     ids, attempt, not_before = entry
-                    if not_before > now or not backend.has_capacity():
+                    if (
+                        not_before > now
+                        or len(inflight) >= max_workers
+                        or not submit(ids, attempt)
+                    ):
                         deferred.append(entry)
-                        continue
-                    spool = (
-                        self._new_spool() if len(ids) > 1 else None
-                    )
-                    handle = backend.submit(
-                        ids, attempt, worker,
-                        [(payloads[i], labels[i]) for i in ids],
-                        spool,
-                    )
-                    if handle is None:
-                        # Backend cannot take it right now (e.g. the
-                        # pool broke between loops); re-offer uncharged.
-                        self._discard_spool(spool)
-                        deferred.append(entry)
-                        continue
-                    outstanding[handle] = (tuple(ids), attempt, spool)
                 queue[:] = deferred
 
-                if not outstanding:
+                if not inflight:
                     if queue:
                         wake = min(entry[2] for entry in queue)
                         time.sleep(
@@ -1235,17 +1235,31 @@ class ExperimentEngine:
                         )
                     continue
 
-                for event in backend.poll():
-                    absorb_event(event)
-        except (KeyboardInterrupt, backends_mod.BackendUnavailable):
-            backend.cancel()
-            for _, _, spool in outstanding.values():
+                done, _ = wait(
+                    set(inflight), timeout=poll_s,
+                    return_when=FIRST_COMPLETED,
+                )
+                broken = False
+                for future in done:
+                    broken = settle(future) or broken
+                if broken:
+                    # Every other future on the dead pool resolves
+                    # exceptionally as well; settle them all, respawn.
+                    for future in list(inflight):
+                        settle(future)
+                    respawn()
+                elif timeout:
+                    watchdog()
+        except KeyboardInterrupt:
+            for future in inflight:
+                future.cancel()
+            if pool is not None:
+                _kill_pool(pool)
+            for _, _, spool, _ in inflight.values():
                 self._discard_spool(spool)
             raise
-        else:
-            backend.close()
-        finally:
-            self._merge_backend_health(backend.health())
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     # -- batch spools ------------------------------------------------------
 

@@ -1,39 +1,30 @@
-"""Durable blob-store protocol under the artifact layer.
+"""Durable, digest-verified blob store under the artifact layer.
 
-The artifact store (:mod:`.artifacts`) used to open files directly,
-which was fine while every worker lived on one host and wrote to a
-local disk.  With pluggable execution backends (:mod:`.backends`) the
-cache root can be a shared directory that several hosts' queue workers
-hit concurrently, and every crossing of that boundary is a chance for
-a torn or corrupt transfer.  This module pins the contract down:
+Every artifact the store layer persists (traces, replay-prep slices,
+TRAIN profiles) can be torn by a crash, a killed worker or a full
+disk.  This module pins the contract down:
 
-* :class:`StoreProtocol` -- ``get``/``put``/``contains`` (+ ``delete``)
-  over named blobs.  ``put`` is durable (fsync before the atomic
-  rename) and records a SHA-256 digest; ``get`` verifies the digest on
-  every read and treats a mismatch as a miss after quarantining the
-  damage.  Implementations retry transient I/O errors with backoff.
-* :class:`FileStore` -- the directory implementation used everywhere
-  today.  Digests live in ``<name>.sum`` sidecars next to each blob;
-  a blob without a sidecar (written by an older version) is served
-  unverified, so existing caches keep working.
+* :class:`FileStore` -- ``get``/``put``/``contains``/``delete`` over
+  named blobs in a directory.  ``put`` is durable (fsync before the
+  atomic rename) and records the blob's SHA-256 in a ``<name>.sum``
+  sidecar; ``get`` verifies the digest on every read and treats a
+  mismatch as a miss after quarantining the damage.  A blob without a
+  sidecar (written by an older version) is served unverified, so
+  existing caches keep working.  Transient I/O errors are retried
+  with backoff (:data:`STORE_RETRIES`, :data:`STORE_BACKOFF_S`).
 * :func:`quarantine_file` -- the one shared quarantine move.  It
   uniquifies the destination (two different corrupt artifacts can
   share a basename) and enforces a small retention cap so quarantine
   can never grow without bound.
 
 Fault injection: the ``torn_put`` kind (:mod:`.faults`) truncates the
-blob *after* its digest was recorded, modelling a transfer that died
+blob *after* its digest was recorded, modelling a write that died
 mid-copy; the next verified ``get`` detects the tear, quarantines the
 blob, and reports a miss so the caller recomputes.
-
-Environment knobs: ``REPRO_STORE_RETRIES`` (transient-I/O retries per
-operation, default 2), ``REPRO_STORE_BACKOFF`` (base backoff seconds,
-default 0.05).
 """
 
 from __future__ import annotations
 
-import abc
 import hashlib
 import os
 import pathlib
@@ -48,21 +39,11 @@ from . import faults
 #: cap are deleted on the next quarantine).
 QUARANTINE_CAP = 64
 
+#: Retries per store operation after a transient ``OSError``.
+STORE_RETRIES = 2
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    try:
-        return max(0, int(raw)) if raw else default
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    try:
-        return max(0.0, float(raw)) if raw else default
-    except ValueError:
-        return default
+#: Base backoff before a store retry (doubles per attempt), seconds.
+STORE_BACKOFF_S = 0.05
 
 
 def quarantine_file(
@@ -137,47 +118,17 @@ def fsync_write(path: pathlib.Path, blob: bytes) -> None:
         raise
 
 
-class StoreProtocol(abc.ABC):
-    """Named-blob storage every artifact boundary crossing goes through.
+class FileStore:
+    """Directory-backed named-blob store with digest sidecars.
 
-    Implementations must make ``put`` atomic and durable, verify
-    content integrity on ``get`` (a failed verification is a miss, not
-    an error), and retry transient I/O faults internally.  Names are
-    relative POSIX-style paths (``traces/<key>.trace``); the backing
-    substrate -- local directory, shared mount, object store -- is the
-    implementation's business.
-    """
-
-    @abc.abstractmethod
-    def put(self, name: str, blob: bytes) -> bool:
-        """Store ``blob`` durably under ``name``; True on success."""
-
-    @abc.abstractmethod
-    def get(self, name: str) -> Optional[bytes]:
-        """Verified read; ``None`` for absent *or corrupt* blobs."""
-
-    @abc.abstractmethod
-    def contains(self, name: str) -> bool:
-        """Whether a blob named ``name`` exists (unverified)."""
-
-    @abc.abstractmethod
-    def delete(self, name: str) -> None:
-        """Remove ``name`` (and its integrity record), if present."""
-
-    @abc.abstractmethod
-    def path_for(self, name: str) -> pathlib.Path:
-        """Local path of ``name`` (for quarantine/legacy callers)."""
-
-
-class FileStore(StoreProtocol):
-    """Directory-backed store with digest sidecars.
-
+    Names are relative POSIX-style paths (``traces/<key>.trace``).
     ``put(name, blob)`` writes ``<root>/<name>`` (fsync + atomic
     rename) and a ``<name>.sum`` sidecar holding the blob's SHA-256;
     ``get`` re-hashes the blob against the sidecar and quarantines
-    both on mismatch.  Pre-sidecar blobs read back unverified, so a
-    cache written by an older version is still served.  Transient
-    ``OSError``\\ s (a flaky shared mount) are retried with backoff.
+    both on mismatch (a failed verification is a miss, not an error).
+    Pre-sidecar blobs read back unverified, so a cache written by an
+    older version is still served.  Transient ``OSError``\\ s are
+    retried with backoff.
     """
 
     SIDECAR_SUFFIX = ".sum"
@@ -194,8 +145,6 @@ class FileStore(StoreProtocol):
             if quarantine_dir is not None
             else self.root / "quarantine"
         )
-        self.retries = _env_int("REPRO_STORE_RETRIES", 2)
-        self.backoff = _env_float("REPRO_STORE_BACKOFF", 0.05)
         self.counters: Dict[str, int] = {
             "puts": 0,
             "gets": 0,
@@ -228,13 +177,14 @@ class FileStore(StoreProtocol):
             except FileNotFoundError:
                 raise
             except OSError:
-                if attempt >= self.retries:
+                if attempt >= STORE_RETRIES:
                     raise
                 self._bump(counter)
-                time.sleep(self.backoff * (2 ** attempt))
+                time.sleep(STORE_BACKOFF_S * (2 ** attempt))
                 attempt += 1
 
     def put(self, name: str, blob: bytes) -> bool:
+        """Store ``blob`` durably under ``name``; True on success."""
         digest = hashlib.sha256(blob).hexdigest()
         if faults.should_tear_put(name):
             # A transfer that died mid-copy: the digest was computed
@@ -257,6 +207,7 @@ class FileStore(StoreProtocol):
         return True
 
     def get(self, name: str) -> Optional[bytes]:
+        """Verified read; ``None`` for absent *or corrupt* blobs."""
         path = self.path_for(name)
         try:
             blob = self._retry(path.read_bytes, "get_retries")
@@ -278,6 +229,7 @@ class FileStore(StoreProtocol):
         return blob
 
     def contains(self, name: str) -> bool:
+        """Whether a blob named ``name`` exists (unverified)."""
         return self.path_for(name).exists()
 
     def verify_blob(self, name: str) -> str:
@@ -304,6 +256,7 @@ class FileStore(StoreProtocol):
         return "ok"
 
     def delete(self, name: str) -> None:
+        """Remove ``name`` and its sidecar, if present."""
         for victim in (self.path_for(name), self._sidecar(name)):
             try:
                 victim.unlink()

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import SelectionConfig
 from repro.experiments import ExperimentEngine, RunConfig
+from repro.experiments import engine as engine_mod
 from repro.experiments.engine import code_version, fingerprint
 
 
@@ -142,7 +143,7 @@ class TestObservability:
         )
         engine.run_benchmark("h264ref", config)
         manifest = engine.manifest(config)
-        assert manifest["schema"] == 8
+        assert manifest["schema"] == 9
         block = manifest["engine"]
         assert block["run_id"] == "m3"
         assert block["resume"] is False
@@ -198,6 +199,28 @@ class TestObservability:
         engine = ExperimentEngine(jobs=1, use_cache=False)
         engine.run_benchmark("h264ref", RunConfig.quick())
         assert engine.profiles == []
+
+
+class TestEnvKnobs:
+    @pytest.mark.parametrize(
+        "name, value, reader",
+        [
+            pytest.param(name, value, reader, id=name)
+            for name, value, reader in (
+                ("REPRO_JOBS", "abc", engine_mod._env_jobs),
+                ("REPRO_RETRIES", "many", engine_mod._env_retries),
+                ("REPRO_JOB_TIMEOUT", "x", engine_mod._env_job_timeout),
+                ("REPRO_RETRY_BACKOFF", "1s", engine_mod._env_retry_backoff),
+                ("REPRO_BATCH", "two", engine_mod._env_batch),
+            )
+        ],
+    )
+    def test_malformed_knob_names_variable_and_value(
+        self, monkeypatch, name, value, reader
+    ):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError, match=f"{name}='{value}'"):
+            reader()
 
 
 class TestQuickConfig:

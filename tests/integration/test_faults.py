@@ -82,6 +82,8 @@ class TestFaultPlan:
             parse_plan("meteor:0.5")
         with pytest.raises(ValueError):
             parse_plan("crash:1.5")
+        with pytest.raises(ValueError):
+            parse_plan("lease_expire:0.1")
         assert parse_plan("") is None
         assert parse_plan("   ") is None
 

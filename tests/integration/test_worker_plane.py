@@ -254,8 +254,9 @@ class TestBatchedDispatch:
     def test_manifest_schema5_plane_fields(self, tmp_path, monkeypatch):
         engine, _ = self._sweep(tmp_path, monkeypatch, "1", "1")
         manifest = engine.manifest()
-        assert manifest["schema"] == MANIFEST_SCHEMA == 8
+        assert manifest["schema"] == MANIFEST_SCHEMA == 9
         totals = manifest["totals"]
+        assert totals["pool_respawns"] == 0
         assert totals["batches"] == 2
         assert totals["batch_points"] == 4
         # One publish per group leader, aggregated from the worker-side
@@ -333,6 +334,7 @@ class TestShmLifecycle:
         )
         assert [r["value"] for r in results] == [0, 1]
         assert all(r["status"] == "ok" for r in engine.records)
+        assert engine.manifest()["totals"]["pool_respawns"] >= 1
         counters = [r["artifacts"] or {} for r in engine.records]
         assert sum(c.get("shm_publishes", 0) for c in counters) >= 1
         assert sum(c.get("shm_attaches", 0) for c in counters) >= 1
