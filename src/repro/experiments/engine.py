@@ -123,8 +123,15 @@ CACHE_SCHEMA = 1
 #: that degraded to (bit-identical) per-point replay; v9 drops the
 #: execution-backend block and ``engine.backend`` (one supervised
 #: local pool runs every job) and reports that pool's kill-and-respawn
-#: count as ``totals.pool_respawns``.
-MANIFEST_SCHEMA = 9
+#: count as ``totals.pool_respawns``; v10 counts every replay decline
+#: and fused fallback by reason in the per-job/total artifact blocks:
+#: ``replay_declines`` plus ``replay_decline_<reason>`` (reasons
+#: ``empty_stream``/``mid_stream_halt``/``event_mismatch``/
+#: ``unnamed_predictor``) whenever the replay kernel declined and the
+#: execute-driven core ran instead, and ``fused_fallback_<reason>``
+#: (``mixed_modes``/``mismatched_slices``/``kernel_declined``) beside
+#: ``fused_fallbacks``, which also counts ``fused_diverges``.
+MANIFEST_SCHEMA = 10
 
 #: Repo-level results directory (works for the src-layout checkout).
 RESULTS_DIR = pathlib.Path(__file__).resolve().parents[3] / "results"

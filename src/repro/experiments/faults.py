@@ -178,8 +178,9 @@ def plan_from_env() -> Optional[FaultPlan]:
 
 
 def hang_seconds() -> float:
-    raw = os.environ.get(HANG_ENV_VAR, "").strip()
-    return float(raw) if raw else DEFAULT_HANG_S
+    from .engine import _env_number
+
+    return _env_number(HANG_ENV_VAR, float, DEFAULT_HANG_S)
 
 
 def inject_worker_faults(

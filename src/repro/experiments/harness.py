@@ -191,10 +191,10 @@ def run_seed(name: str, seed: int, config: RunConfig) -> Dict:
     (:meth:`ArtifactStore.simulate_inorder_sweep`): the first sight of
     a program captures its committed stream with the functional pass,
     and every width is scored by one *fused* replay pass over it
-    (bit-identical to per-width replays; ``REPRO_REPLAY_MULTI=0``
-    forces the per-point path).  The per-job artifact counter movement
-    is reported under ``"artifacts"`` (manifest schema 4; fused-pass
-    counters since schema 8).
+    (bit-identical to per-width replays).  The per-job artifact
+    counter movement is reported under ``"artifacts"`` (manifest
+    schema 4; fused-pass counters since schema 8, decline and
+    fallback reasons since schema 10).
     """
     from .artifacts import get_store
 

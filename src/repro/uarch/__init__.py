@@ -12,7 +12,14 @@ from .functional import (
     collect_branch_trace,
     execute,
 )
-from .replay import replay_inorder, replay_inorder_sweep, replay_ooo
+from .replay import (
+    FUSED_FALLBACK_REASONS,
+    fused_sweep,
+    replay_inorder,
+    replay_inorder_sweep,
+    replay_ooo,
+)
+from .replay_vec import DECLINE_REASONS, ReplayDeclined
 from .stats import SimStats
 from .trace import (
     Trace,
@@ -25,9 +32,12 @@ from .trace import (
 from .visualize import TraceRow, collect_timeline, render_timeline
 
 __all__ = [
+    "DECLINE_REASONS",
+    "FUSED_FALLBACK_REASONS",
     "FunctionalResult",
     "InOrderCore",
     "OutOfOrderCore",
+    "ReplayDeclined",
     "MachineConfig",
     "SimStats",
     "Trace",
@@ -38,6 +48,7 @@ __all__ = [
     "collect_timeline",
     "content_digest",
     "predictor_id",
+    "fused_sweep",
     "render_timeline",
     "replay_inorder",
     "replay_inorder_sweep",

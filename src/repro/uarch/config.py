@@ -9,6 +9,21 @@ from ..branchpred import DirectionPredictor, HybridPredictor
 from ..memory import HierarchyConfig
 
 
+#: Smallest legal value of each checked field.  Zero ports spin the
+#: issue search forever; a zero-sized fetch buffer or BTB indexes an
+#: empty table.
+_FIELD_MINIMUMS = {
+    "mem_ports": 1,
+    "int_ports": 1,
+    "fp_ports": 1,
+    "fetch_buffer_entries": 1,
+    "btb_entries": 1,
+    "front_end_stages": 0,
+    "btb_miss_bubble": 0,
+    "taken_redirect_bubble": 0,
+}
+
+
 @dataclass
 class MachineConfig:
     """Parameters of one in-order superscalar configuration.
@@ -41,6 +56,10 @@ class MachineConfig:
     def __post_init__(self) -> None:
         if self.width not in (1, 2, 4, 8, 16):
             raise ValueError(f"unsupported width {self.width}")
+        for name, minimum in _FIELD_MINIMUMS.items():
+            value = getattr(self, name)
+            if value < minimum:
+                raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
     @classmethod
     def paper_default(cls, width: int = 4) -> "MachineConfig":

@@ -67,6 +67,8 @@ class OutOfOrderCore:
         config: Optional[MachineConfig] = None,
         window: int = 64,
     ) -> None:
+        if window <= 0:
+            raise ValueError(f"window must be positive, got {window}")
         self.config = config or MachineConfig()
         self.window = window
 

@@ -1,16 +1,19 @@
-"""Trace-replay timing loops: re-time a committed stream, bit-exactly.
+"""Trace-replay front doors: re-time a committed stream, bit-exactly.
 
-These are line-for-line mirrors of the execute-driven run loops in
-:mod:`repro.uarch.core` and :mod:`repro.uarch.ooo` with the
-*architectural* work removed: no register values, no data memory, no
-ALU evaluators.  Control flow comes from the trace's ``pcs`` column,
-branch/divert outcomes and load/store addresses from their event
-columns, and the timing machinery -- scoreboard readiness, port and
-width occupancy rings, fetch-buffer/window gating, I-cache and data
-hierarchy simulation, BTB/RAS re-simulation -- runs exactly as in the
-execute-driven loops.  The result (full ``SimStats`` plus the final
-architectural state carried in the trace) is bit-identical to an
-execute-driven run of the same program under the same configuration.
+Replay re-runs the timing model of :mod:`repro.uarch.core` or
+:mod:`repro.uarch.ooo` over a captured committed stream with the
+*architectural* work removed: control flow comes from the trace's
+``pcs`` column, branch/divert outcomes and load/store addresses from
+its event columns.  The vectorized kernels (:mod:`.replay_vec`) and
+the sweep-fused pass (:mod:`.replay_multi`) do the timing; the result
+(full ``SimStats`` plus the final architectural state carried in the
+trace) is bit-identical to an execute-driven run of the same program
+under the same configuration, which stays the one golden oracle.
+
+A trace the kernels cannot prove safe raises
+:class:`~repro.uarch.replay_vec.ReplayDeclined` with a reason from
+``DECLINE_REASONS``; the artifact store then runs the execute-driven
+core instead and counts the decline by reason.
 
 Two replay modes per conditional branch:
 
@@ -29,51 +32,24 @@ Two replay modes per conditional branch:
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
-from ..branchpred import BranchTargetBuffer, ReturnAddressStack
 from ..isa import Memory
-from ..isa.decode import (
-    K_BRANCH,
-    K_CALL,
-    K_JMP,
-    K_LOAD,
-    K_NOP,
-    K_PREDICT,
-    K_RESOLVE,
-    K_RET,
-    K_STORE,
-    predecode,
-)
+from . import replay_multi, replay_vec
 from .config import MachineConfig
-from .core import _RING, _RING_MASK, SimulationResult
-from .ooo import _RING as _OOO_RING, _RING_MASK as _OOO_RING_MASK
+from .core import SimulationResult
+from .replay_vec import ReplayDeclined
 from .stats import SimStats
 from .trace import Trace, TraceMismatch, content_digest, predictor_id
 
-_LINE_SHIFT = 6
-
-
-def _vectorized_enabled() -> bool:
-    """The vectorized kernels (:mod:`.replay_vec`) are the default;
-    ``REPRO_REPLAY_VECTORIZED=0`` forces the scalar oracle loops."""
-    raw = os.environ.get("REPRO_REPLAY_VECTORIZED", "").strip().lower()
-    if not raw:
-        return True
-    return raw not in ("0", "false", "no", "off")
-
-
-def _multi_enabled() -> bool:
-    """Sweep fusion (:mod:`.replay_multi`) is the default for
-    multi-config replays; ``REPRO_REPLAY_MULTI=0`` forces per-point
-    replay.  Fusion is layered on the vectorized kernels' prep
-    tables, so forcing the scalar oracle disables fusion too."""
-    raw = os.environ.get("REPRO_REPLAY_MULTI", "").strip().lower()
-    if raw and raw in ("0", "false", "no", "off"):
-        return False
-    return _vectorized_enabled()
+#: Why :func:`fused_sweep` declined a K > 1 sweep: recorded and live
+#: lanes mixed, lanes on different prep slices, or the kernel declined
+#: the trace (:class:`ReplayDeclined`).
+FUSED_FALLBACK_REASONS = (
+    "mixed_modes",
+    "mismatched_slices",
+    "kernel_declined",
+)
 
 
 def _describe(value) -> str:
@@ -132,23 +108,48 @@ def replay_inorder(
     trace: Trace,
     config: Optional[MachineConfig] = None,
 ) -> SimulationResult:
-    """Replay ``trace`` on the in-order timing model.
-
-    Dispatches to the vectorized kernels (:mod:`.replay_vec`) unless
-    ``REPRO_REPLAY_VECTORIZED=0`` or the kernel declines the trace;
-    either way the result is bit-identical to the scalar loop below,
-    which stays as the golden oracle."""
+    """Replay ``trace`` on the in-order timing model (vectorized
+    kernel); raises :class:`ReplayDeclined` when the kernel declines."""
     config = config or MachineConfig()
     recorded = _check_and_mode(program, trace, config)
-    if _vectorized_enabled():
-        from . import replay_vec
+    stats = replay_vec.replay_inorder_stats(program, trace, config, recorded)
+    return _final_state(program, trace, stats)
 
-        stats = replay_vec.replay_inorder_stats(
-            program, trace, config, recorded
+
+def fused_sweep(
+    program,
+    trace: Trace,
+    configs: Sequence[MachineConfig],
+) -> Tuple[Optional[List[SimulationResult]], str]:
+    """Score every configuration of a sweep axis in one fused pass.
+
+    Configurations that differ only in width, ports, front-end depth
+    or bubble counts share one prep slice and so one fused kernel
+    table; K > 1 of them are scored by one region-memoised walk
+    (:mod:`.replay_multi`).  Returns ``(results, "fused")``, or
+    ``(None, outcome)`` with ``outcome`` ``"per_point"``,
+    ``"diverged"`` or one of :data:`FUSED_FALLBACK_REASONS`; the
+    caller then replays per-point.
+    """
+    if len(configs) < 2:
+        return None, "per_point"
+    recorded_flags = [
+        _check_and_mode(program, trace, config) for config in configs
+    ]
+    if any(recorded_flags) != all(recorded_flags):
+        return None, "mixed_modes"
+    try:
+        stats_list = replay_multi.replay_inorder_multi_stats(
+            program, trace, configs, recorded_flags[0]
         )
-        if stats is not None:
-            return _final_state(program, trace, stats)
-    return _replay_inorder_scalar(program, trace, config, recorded)
+    except replay_multi.FusedLaneDivergence:
+        return None, "diverged"
+    except ReplayDeclined:
+        return None, "kernel_declined"
+    if stats_list is None:
+        return None, "mismatched_slices"
+    results = [_final_state(program, trace, stats) for stats in stats_list]
+    return results, "fused"
 
 
 def replay_inorder_sweep(
@@ -158,379 +159,18 @@ def replay_inorder_sweep(
 ):
     """Replay ``trace`` under every configuration of a sweep axis.
 
-    The sweep front door: configurations that differ only in width,
-    ports, front-end depth or bubble counts share one fused kernel
-    table, and (when ``REPRO_REPLAY_MULTI`` is on) are scored by one
-    fused pass (:mod:`.replay_multi`) instead of K serial walks.
-    Anything unfusable -- a single point, mixed recorded/live lanes,
-    a knob-forced oracle, a declined trace -- replays per-point
-    through :func:`replay_inorder`, so the results are *always*
-    bit-identical to K independent replays.
-
-    Returns ``(results, outcome)`` where ``outcome`` is ``"fused"``
-    (one pass scored every lane), ``"fallback"`` (fusion was
-    attempted but declined), ``"diverged"`` (a fused lane failed
-    validation and the per-point path re-ran the sweep), or
-    ``"per_point"`` (fusion was off or trivially inapplicable).
+    One fused pass when :func:`fused_sweep` accepts the sweep,
+    otherwise one :func:`replay_inorder` per point, so the results
+    are *always* bit-identical to K independent replays.  Returns
+    ``(results, outcome)`` with :func:`fused_sweep`'s outcome.
     """
     configs = [config or MachineConfig() for config in configs]
-    outcome = "per_point"
-    if len(configs) > 1 and _multi_enabled():
-        recorded_flags = [
-            _check_and_mode(program, trace, config) for config in configs
+    results, outcome = fused_sweep(program, trace, configs)
+    if results is None:
+        results = [
+            replay_inorder(program, trace, config) for config in configs
         ]
-        if all(recorded_flags) or not any(recorded_flags):
-            from . import replay_multi
-
-            try:
-                stats_list = replay_multi.replay_inorder_multi_stats(
-                    program, trace, configs, recorded_flags[0]
-                )
-            except replay_multi.FusedLaneDivergence:
-                stats_list = None
-                outcome = "diverged"
-            else:
-                outcome = "fused" if stats_list is not None else "fallback"
-            if stats_list is not None:
-                return (
-                    [
-                        _final_state(program, trace, stats)
-                        for stats in stats_list
-                    ],
-                    outcome,
-                )
-        else:
-            outcome = "fallback"  # mixed recorded/live lanes
-    return (
-        [replay_inorder(program, trace, config) for config in configs],
-        outcome,
-    )
-
-
-def _replay_inorder_scalar(
-    program,
-    trace: Trace,
-    config: MachineConfig,
-    recorded: bool,
-) -> SimulationResult:
-    """The scalar oracle loop (line-for-line mirror of ``core.py``)."""
-    from ..memory import MemoryHierarchy
-
-    stats = SimStats()
-    rows = predecode(program).rows
-
-    pcs = trace.pcs
-    stream_len = len(pcs)
-    col_branch_pred = trace.branch_pred
-    col_branch_taken = trace.branch_taken
-    col_predict_taken = trace.predict_taken
-    col_resolve_diverted = trace.resolve_diverted
-    col_load_addrs = trace.load_addrs
-    col_load_suppressed = trace.load_suppressed
-    col_store_addrs = trace.store_addrs
-    col_ret_targets = trace.ret_targets
-    branch_i = 0
-    predict_i = 0
-    resolve_i = 0
-    load_i = 0
-    spec_i = 0
-    store_i = 0
-    ret_i = 0
-
-    reg_ready = [0] * 64
-    reg_from_load = [False] * 64
-
-    hierarchy = MemoryHierarchy(config.hierarchy)
-    if recorded:
-        predictor_lookup = predictor_update = None
-    else:
-        predictor = config.predictor_factory()
-        predictor_lookup = predictor.lookup
-        predictor_update = predictor.update
-    btb = BranchTargetBuffer(config.btb_entries)
-    ras = ReturnAddressStack(config.ras_entries)
-
-    access_inst = hierarchy.access_inst
-    access_data = hierarchy.access_data
-    btb_lookup = btb.lookup
-    btb_insert = btb.insert
-    ras_push = ras.push
-    ras_pop = ras.pop
-
-    width = config.width
-    front_depth = config.front_end_stages
-    fetch_buffer = config.fetch_buffer_entries
-    l1_latency = config.hierarchy.l1_latency
-    taken_bubble = config.taken_redirect_bubble
-    btb_bubble = config.btb_miss_bubble
-    port_caps = (0, config.int_ports, config.mem_ports, config.fp_ports)
-
-    issued_cnt = [0] * _RING
-    issued_stamp = [-1] * _RING
-    port_cnt = (None, [0] * _RING, [0] * _RING, [0] * _RING)
-    port_stamp = (None, [-1] * _RING, [-1] * _RING, [-1] * _RING)
-
-    fetch_cycle = 0
-    fetch_slots = 0
-    current_line = -1
-    prev_issue = 0
-    last_cycle = 0
-    under_mispredict_window = False
-    issue_ring = deque(maxlen=fetch_buffer)
-
-    fetched = 0
-    committed = 0
-    hoisted_committed = 0
-    issued = 0
-    loads = 0
-    stores = 0
-    load_use_stall_cycles = 0
-    cond_branches = 0
-    cond_mispredicts = 0
-    taken_redirects = 0
-    btb_miss_bubbles = 0
-    predicts = 0
-    resolves = 0
-    resolve_mispredicts = 0
-    resolution_stall_cycles = 0
-    speculative_loads = 0
-    ras_mispredicts = 0
-    icache_misses = 0
-    icache_misses_under_mispredict = 0
-    halted = False
-
-    index = 0
-    while index < stream_len:
-        pc = pcs[index]
-        index += 1
-        row = rows[pc]
-        kind = row[0]
-
-        # ---------------- fetch timing ----------------
-        byte_pc = pc << 2
-        line = byte_pc >> _LINE_SHIFT
-        if line != current_line:
-            ready = access_inst(byte_pc, fetch_cycle)
-            if ready > fetch_cycle:
-                icache_misses += 1
-                if under_mispredict_window:
-                    icache_misses_under_mispredict += 1
-                fetch_cycle = ready
-                fetch_slots = 0
-            under_mispredict_window = False
-            current_line = line
-        if fetch_slots >= width:
-            fetch_cycle += 1
-            fetch_slots = 0
-        if len(issue_ring) == fetch_buffer:
-            gate = issue_ring[0]
-            if gate > fetch_cycle:
-                fetch_cycle = gate
-                fetch_slots = 0
-        fetch_time = fetch_cycle
-        fetch_slots += 1
-        fetched += 1
-
-        committed += 1
-        if row[10]:  # hoisted
-            hoisted_committed += 1
-
-        # ------------- front-end-only kinds (PREDICT / HALT) -------
-        if kind >= K_PREDICT:
-            if kind == K_PREDICT:
-                predicts += 1
-                prediction_taken = col_predict_taken[predict_i]
-                predict_i += 1
-                if prediction_taken:
-                    if btb_lookup(pc) is None:
-                        fetch_cycle = (
-                            fetch_time + taken_bubble + btb_bubble
-                        )
-                        btb_miss_bubbles += 1
-                        btb_insert(pc, row[5])
-                    else:
-                        fetch_cycle = fetch_time + taken_bubble
-                    fetch_slots = 0
-                    current_line = -1
-                    taken_redirects += 1
-                if last_cycle < fetch_time:
-                    last_cycle = fetch_time
-                continue
-            # HALT
-            halted = True
-            if last_cycle < fetch_time:
-                last_cycle = fetch_time
-            break
-
-        # ---------------- issue-slot computation ----------------
-        base = fetch_time + front_depth
-        if base < prev_issue:
-            base = prev_issue
-        operand_wait_from_load = False
-        operand_ready = base
-        for reg in row[2]:
-            ready = reg_ready[reg]
-            if ready > operand_ready:
-                operand_ready = ready
-                operand_wait_from_load = reg_from_load[reg]
-        if operand_wait_from_load and operand_ready > base:
-            load_use_stall_cycles += operand_ready - base
-
-        fu = row[8]
-        t = operand_ready
-        if fu == 0:  # FU_NONE: NOP
-            issue = t
-        else:
-            cap = port_caps[fu]
-            pcnt = port_cnt[fu]
-            pstamp = port_stamp[fu]
-            while True:
-                slot = t & _RING_MASK
-                have = issued_cnt[slot] if issued_stamp[slot] == t else 0
-                if have >= width:
-                    t += 1
-                    continue
-                used = pcnt[slot] if pstamp[slot] == t else 0
-                if used >= cap:
-                    t += 1
-                    continue
-                break
-            issued_stamp[slot] = t
-            issued_cnt[slot] = have + 1
-            pstamp[slot] = t
-            pcnt[slot] = used + 1
-            issue = t
-            issued += 1
-        prev_issue = issue
-        issue_ring.append(issue)
-        if kind == K_BRANCH or kind == K_RESOLVE:
-            wait = issue - (fetch_time + front_depth)
-            if wait > 0:
-                resolution_stall_cycles += wait
-
-        complete = issue + row[7]
-
-        # ---------------- re-time (no semantics) ----------------
-        if kind == K_LOAD:
-            address = col_load_addrs[load_i]
-            load_i += 1
-            if row[9]:  # speculative: suppression bit recorded
-                suppressed = col_load_suppressed[spec_i]
-                spec_i += 1
-                if suppressed:
-                    complete = issue + l1_latency
-                else:
-                    complete = access_data(address << 3, issue)
-                speculative_loads += 1
-            else:
-                complete = access_data(address << 3, issue)
-            dest = row[1]
-            reg_ready[dest] = complete
-            reg_from_load[dest] = True
-            loads += 1
-        elif kind == K_BRANCH:
-            cond_branches += 1
-            taken = col_branch_taken[branch_i] == 1
-            if recorded:
-                predicted_taken = col_branch_pred[branch_i] == 1
-            else:
-                prediction = predictor_lookup(row[6])
-                predictor_update(prediction, taken)
-                predicted_taken = prediction.taken
-            branch_i += 1
-            if predicted_taken != taken:
-                cond_mispredicts += 1
-                fetch_cycle = complete + 1
-                fetch_slots = 0
-                current_line = -1
-                under_mispredict_window = True
-            elif taken:
-                taken_redirects += 1
-                if btb_lookup(pc) is None:
-                    fetch_cycle = (
-                        fetch_time + taken_bubble + btb_bubble
-                    )
-                    btb_miss_bubbles += 1
-                    btb_insert(pc, row[5])
-                else:
-                    fetch_cycle = fetch_time + taken_bubble
-                fetch_slots = 0
-                current_line = -1
-        elif kind == K_STORE:
-            address = col_store_addrs[store_i]
-            store_i += 1
-            access_data(address << 3, issue)
-            stores += 1
-            complete = issue + 1
-        elif kind == K_RESOLVE:
-            resolves += 1
-            diverted = col_resolve_diverted[resolve_i]
-            resolve_i += 1
-            if diverted:
-                resolve_mispredicts += 1
-                fetch_cycle = complete + 1
-                fetch_slots = 0
-                current_line = -1
-                under_mispredict_window = True
-        elif kind == K_JMP:
-            taken_redirects += 1
-            fetch_cycle = fetch_time + taken_bubble
-            fetch_slots = 0
-            current_line = -1
-        elif kind == K_CALL:
-            dest = row[1]
-            reg_ready[dest] = complete
-            reg_from_load[dest] = False
-            ras_push(pc + 1)
-            taken_redirects += 1
-            fetch_cycle = fetch_time + taken_bubble
-            fetch_slots = 0
-            current_line = -1
-        elif kind == K_RET:
-            actual = col_ret_targets[ret_i]
-            ret_i += 1
-            predicted = ras_pop()
-            if predicted != actual:
-                ras_mispredicts += 1
-                fetch_cycle = complete + 1
-                under_mispredict_window = True
-            else:
-                taken_redirects += 1
-                fetch_cycle = fetch_time + taken_bubble
-            fetch_slots = 0
-            current_line = -1
-        elif kind != K_NOP:
-            # K_BINOP / K_CONST / K_SEL / K_EVAL_GEN: timing only
-            # touches the destination scoreboard.
-            dest = row[1]
-            reg_ready[dest] = complete
-            reg_from_load[dest] = False
-
-        if complete > last_cycle:
-            last_cycle = complete
-
-    stats.cycles = last_cycle + 1
-    stats.fetched = fetched
-    stats.committed = committed
-    stats.hoisted_committed = hoisted_committed
-    stats.issued = issued
-    stats.loads = loads
-    stats.stores = stores
-    stats.load_use_stall_cycles = load_use_stall_cycles
-    stats.cond_branches = cond_branches
-    stats.cond_mispredicts = cond_mispredicts
-    stats.taken_redirects = taken_redirects
-    stats.btb_miss_bubbles = btb_miss_bubbles
-    stats.predicts = predicts
-    stats.resolves = resolves
-    stats.resolve_mispredicts = resolve_mispredicts
-    stats.resolution_stall_cycles = resolution_stall_cycles
-    stats.speculative_loads = speculative_loads
-    stats.ras_mispredicts = ras_mispredicts
-    stats.icache_misses = icache_misses
-    stats.icache_misses_under_mispredict = icache_misses_under_mispredict
-    stats.halted = halted
-    return _final_state(program, trace, stats)
+    return results, outcome
 
 
 def replay_ooo(
@@ -543,297 +183,14 @@ def replay_ooo(
 
     The committed stream is core-independent (both cores execute the
     same architectural semantics in fetch order), so a trace captured
-    by the in-order core replays on the OOO model and vice versa.
+    for the in-order core replays on the OOO model and vice versa.
+    Raises :class:`ReplayDeclined` when the kernel declines.
     """
+    if window <= 0:
+        raise ValueError(f"window must be positive, got {window}")
     config = config or MachineConfig()
     recorded = _check_and_mode(program, trace, config)
-    if _vectorized_enabled():
-        from . import replay_vec
-
-        stats = replay_vec.replay_ooo_stats(
-            program, trace, config, recorded, window
-        )
-        if stats is not None:
-            return _final_state(program, trace, stats)
-    return _replay_ooo_scalar(program, trace, config, recorded, window)
-
-
-def _replay_ooo_scalar(
-    program,
-    trace: Trace,
-    config: MachineConfig,
-    recorded: bool,
-    window: int,
-) -> SimulationResult:
-    """The scalar oracle loop (line-for-line mirror of ``ooo.py``)."""
-    from ..memory import MemoryHierarchy
-
-    stats = SimStats()
-    rows = predecode(program).rows
-
-    pcs = trace.pcs
-    stream_len = len(pcs)
-    col_branch_pred = trace.branch_pred
-    col_branch_taken = trace.branch_taken
-    col_predict_taken = trace.predict_taken
-    col_resolve_diverted = trace.resolve_diverted
-    col_load_addrs = trace.load_addrs
-    col_load_suppressed = trace.load_suppressed
-    col_store_addrs = trace.store_addrs
-    col_ret_targets = trace.ret_targets
-    branch_i = 0
-    predict_i = 0
-    resolve_i = 0
-    load_i = 0
-    spec_i = 0
-    store_i = 0
-    ret_i = 0
-
-    reg_ready = [0] * 64
-
-    hierarchy = MemoryHierarchy(config.hierarchy)
-    if recorded:
-        predictor_lookup = predictor_update = None
-    else:
-        predictor = config.predictor_factory()
-        predictor_lookup = predictor.lookup
-        predictor_update = predictor.update
-    btb = BranchTargetBuffer(config.btb_entries)
-    ras = ReturnAddressStack(config.ras_entries)
-
-    access_inst = hierarchy.access_inst
-    access_data = hierarchy.access_data
-    btb_lookup = btb.lookup
-    btb_insert = btb.insert
-    ras_push = ras.push
-    ras_pop = ras.pop
-
-    width = config.width
-    front_depth = config.front_end_stages
-    l1_latency = config.hierarchy.l1_latency
-    port_caps = (0, config.int_ports, config.mem_ports, config.fp_ports)
-
-    issued_cnt = [0] * _OOO_RING
-    issued_stamp = [-1] * _OOO_RING
-    port_cnt = (None, [0] * _OOO_RING, [0] * _OOO_RING, [0] * _OOO_RING)
-    port_stamp = (
-        None, [-1] * _OOO_RING, [-1] * _OOO_RING, [-1] * _OOO_RING,
+    stats = replay_vec.replay_ooo_stats(
+        program, trace, config, recorded, window
     )
-
-    fetch_cycle = 0
-    fetch_slots = 0
-    current_line = -1
-    last_cycle = 0
-    inflight: List[int] = []
-    inflight_append = inflight.append
-
-    fetched = 0
-    committed = 0
-    hoisted_committed = 0
-    issued = 0
-    loads = 0
-    stores = 0
-    cond_branches = 0
-    cond_mispredicts = 0
-    taken_redirects = 0
-    predicts = 0
-    resolves = 0
-    resolve_mispredicts = 0
-    resolution_stall_cycles = 0
-    speculative_loads = 0
-    ras_mispredicts = 0
-    icache_misses = 0
-    halted = False
-
-    index = 0
-    while index < stream_len:
-        pc = pcs[index]
-        index += 1
-        row = rows[pc]
-        kind = row[0]
-
-        # ---- fetch (same model as the in-order core) ----
-        byte_pc = pc << 2
-        line = byte_pc >> _LINE_SHIFT
-        if line != current_line:
-            ready = access_inst(byte_pc, fetch_cycle)
-            if ready > fetch_cycle:
-                icache_misses += 1
-                fetch_cycle = ready
-                fetch_slots = 0
-            current_line = line
-        if fetch_slots >= width:
-            fetch_cycle += 1
-            fetch_slots = 0
-        inflight_len = len(inflight)
-        if inflight_len >= window:
-            gate = inflight[inflight_len - window]
-            if gate > fetch_cycle:
-                fetch_cycle = gate
-                fetch_slots = 0
-        fetch_time = fetch_cycle
-        fetch_slots += 1
-        fetched += 1
-        committed += 1
-        if row[10]:  # hoisted
-            hoisted_committed += 1
-
-        if kind >= K_PREDICT:
-            if kind == K_PREDICT:
-                predicts += 1
-                prediction_taken = col_predict_taken[predict_i]
-                predict_i += 1
-                if prediction_taken:
-                    if btb_lookup(pc) is None:
-                        btb_insert(pc, row[5])
-                        fetch_cycle = fetch_time + 2
-                    else:
-                        fetch_cycle = fetch_time + 1
-                    fetch_slots = 0
-                    current_line = -1
-                continue
-            # HALT
-            halted = True
-            break
-
-        # ---- dataflow issue: operands + a free port, no ordering ----
-        base = fetch_time + front_depth
-        operand_ready = base
-        for reg in row[2]:
-            if reg_ready[reg] > operand_ready:
-                operand_ready = reg_ready[reg]
-
-        fu = row[8]
-        t = operand_ready
-        if fu:
-            cap = port_caps[fu]
-            pcnt = port_cnt[fu]
-            pstamp = port_stamp[fu]
-            while True:
-                slot = t & _OOO_RING_MASK
-                have = issued_cnt[slot] if issued_stamp[slot] == t else 0
-                if have >= width:
-                    t += 1
-                    continue
-                used = pcnt[slot] if pstamp[slot] == t else 0
-                if used >= cap:
-                    t += 1
-                    continue
-                break
-            issued_stamp[slot] = t
-            issued_cnt[slot] = have + 1
-            pstamp[slot] = t
-            pcnt[slot] = used + 1
-            issued += 1
-        issue = t
-        if kind == K_BRANCH or kind == K_RESOLVE:
-            wait = issue - base
-            if wait > 0:
-                resolution_stall_cycles += wait
-
-        complete = issue + row[7]
-
-        # ---- re-time (no semantics) ----
-        if kind == K_LOAD:
-            address = col_load_addrs[load_i]
-            load_i += 1
-            if row[9]:  # speculative
-                suppressed = col_load_suppressed[spec_i]
-                spec_i += 1
-                if suppressed:
-                    complete = issue + l1_latency
-                else:
-                    complete = access_data(address << 3, issue)
-                speculative_loads += 1
-            else:
-                complete = access_data(address << 3, issue)
-            reg_ready[row[1]] = complete
-            loads += 1
-        elif kind == K_BRANCH:
-            cond_branches += 1
-            taken = col_branch_taken[branch_i] == 1
-            if recorded:
-                predicted_taken = col_branch_pred[branch_i] == 1
-            else:
-                prediction = predictor_lookup(row[6])
-                predictor_update(prediction, taken)
-                predicted_taken = prediction.taken
-            branch_i += 1
-            if predicted_taken != taken:
-                cond_mispredicts += 1
-                fetch_cycle = complete + 1
-                fetch_slots = 0
-                current_line = -1
-            elif taken:
-                taken_redirects += 1
-                fetch_cycle = fetch_time + 1
-                fetch_slots = 0
-                current_line = -1
-        elif kind == K_STORE:
-            address = col_store_addrs[store_i]
-            store_i += 1
-            access_data(address << 3, issue)
-            stores += 1
-            complete = issue + 1
-        elif kind == K_RESOLVE:
-            resolves += 1
-            diverted = col_resolve_diverted[resolve_i]
-            resolve_i += 1
-            if diverted:
-                resolve_mispredicts += 1
-                fetch_cycle = complete + 1
-                fetch_slots = 0
-                current_line = -1
-        elif kind == K_JMP:
-            taken_redirects += 1
-            fetch_cycle = fetch_time + 1
-            fetch_slots = 0
-            current_line = -1
-        elif kind == K_CALL:
-            reg_ready[row[1]] = complete
-            ras_push(pc + 1)
-            fetch_cycle = fetch_time + 1
-            fetch_slots = 0
-            current_line = -1
-        elif kind == K_RET:
-            actual = col_ret_targets[ret_i]
-            ret_i += 1
-            predicted = ras_pop()
-            if predicted != actual:
-                ras_mispredicts += 1
-                fetch_cycle = complete + 1
-            else:
-                fetch_cycle = fetch_time + 1
-            fetch_slots = 0
-            current_line = -1
-        elif kind != K_NOP:
-            # K_BINOP / K_CONST / K_SEL / K_EVAL_GEN.
-            dest = row[1]
-            reg_ready[dest] = complete
-
-        inflight_append(complete)
-        if len(inflight) > 4 * window:
-            inflight = inflight[-window:]
-            inflight_append = inflight.append
-        if complete > last_cycle:
-            last_cycle = complete
-
-    stats.cycles = last_cycle + 1
-    stats.fetched = fetched
-    stats.committed = committed
-    stats.hoisted_committed = hoisted_committed
-    stats.issued = issued
-    stats.loads = loads
-    stats.stores = stores
-    stats.cond_branches = cond_branches
-    stats.cond_mispredicts = cond_mispredicts
-    stats.taken_redirects = taken_redirects
-    stats.predicts = predicts
-    stats.resolves = resolves
-    stats.resolve_mispredicts = resolve_mispredicts
-    stats.resolution_stall_cycles = resolution_stall_cycles
-    stats.speculative_loads = speculative_loads
-    stats.ras_mispredicts = ras_mispredicts
-    stats.icache_misses = icache_misses
-    stats.halted = halted
     return _final_state(program, trace, stats)

@@ -31,15 +31,17 @@ every lane at each region boundary.  Per-lane memo tables key on
 ``state_id * n_sites + site_id`` -- one int -- because transition
 deltas depend on the lane's width/port constants.
 
-Fallback rules (the caller sees ``None`` and runs per-point):
+Fallback rules (the caller replays per-point and counts the reason,
+see :func:`repro.uarch.replay.fused_sweep`):
 
-* K == 1 -- nothing to fuse;
-* any lane outside the vectorized path's own guards (degenerate
-  width/ports/fetch buffer, unnameable live predictor, ineligible
-  trace);
 * lanes that do not share one fused kernel table (different cache
-  geometry / BTB / RAS / predictor -- i.e. different prep slices);
-* OOO cores (fusing the stamped-ring OOO kernel is future work).
+  geometry / BTB / RAS / predictor -- i.e. different prep slices):
+  ``None``;
+* any lane the vectorized kernel declines (unnameable live
+  predictor, ineligible trace): :class:`~.replay_vec.ReplayDeclined`
+  propagates;
+* OOO cores are never fused (fusing the stamped-ring OOO kernel is
+  future work).
 
 Lane-divergence containment: the fused pass re-checks cheap per-lane
 invariants (non-negative stall accumulators, the width bound
@@ -481,24 +483,17 @@ def replay_inorder_multi_stats(
 
     Returns one :class:`SimStats` per config (bit-identical to
     ``replay_vec.replay_inorder_stats`` lane by lane), or ``None``
-    when the sweep is not fusable -- the caller then replays
-    per-point.  Raises :class:`FusedLaneDivergence` when a lane fails
-    validation (or the ``fused_diverge`` fault fires).
+    when the lanes do not share one prep slice -- the caller then
+    replays per-point.  Raises :class:`~.replay_vec.ReplayDeclined`
+    when the kernel declines a lane and :class:`FusedLaneDivergence`
+    when a lane fails validation (or the ``fused_diverge`` fault
+    fires).
     """
     k = len(configs)
-    if k <= 1:
-        return None
-    for config in configs:
-        if config.fetch_buffer_entries <= 0 or config.width <= 0:
-            return None
-        if min(config.int_ports, config.mem_ports, config.fp_ports) <= 0:
-            return None
     prepared_all = [
         rv._prepare(program, trace, config, recorded, "inorder")
         for config in configs
     ]
-    if any(p is None for p in prepared_all):
-        return None
     kernel0 = prepared_all[0][3]
     if any(p[3] is not kernel0 for p in prepared_all[1:]):
         return None  # mismatched prep slices: not one shared kernel

@@ -1,11 +1,12 @@
 """Vectorized trace-replay kernels: precompute everything timing-free.
 
-The scalar replay loops (:mod:`repro.uarch.replay`) re-run the full
-timing machinery one instruction at a time.  The observation this
-module exploits: in recorded-prediction mode every *decision* the loop
-makes -- which instructions touch the I-cache, which cache level each
-access hits, whether a BTB lookup hits, whether the RAS mispredicts a
-return, whether a branch redirects -- is independent of the clock.
+The execute-driven cores (:mod:`repro.uarch.core`,
+:mod:`repro.uarch.ooo`) run the full timing machinery one instruction
+at a time.  The observation this module exploits: in
+recorded-prediction mode every *decision* the loop makes -- which
+instructions touch the I-cache, which cache level each access hits,
+whether a BTB lookup hits, whether the RAS mispredicts a return,
+whether a branch redirects -- is independent of the clock.
 The global cache-access sequence (an instruction access at each fetch
 line change, interleaved with data accesses in stream order,
 instruction-before-data per instruction) is fully determined by the
@@ -35,13 +36,14 @@ with no precomputed fetch adjustment (``fetch_add[i] < 0``); the
 kernel's per-instruction work there collapses to list reads and
 integer compares.
 
-Bit-exactness contract: the kernels reproduce the scalar loops'
-``SimStats`` exactly (golden fingerprints in ``tests/golden`` plus
-the equivalence suite in ``tests/uarch``).  Anything the precompute
-cannot prove safe -- empty trace, a HALT anywhere but the stream end,
-column/event count mismatches, a live replay under an unnameable
-predictor factory, degenerate gate sizes -- returns ``None`` and the
-caller falls back to the scalar oracle.
+Bit-exactness contract: the kernels reproduce the execute-driven
+cores' ``SimStats`` exactly (golden fingerprints in ``tests/golden``
+plus the equivalence suite in ``tests/uarch``).  Anything the
+precompute cannot prove safe raises :class:`ReplayDeclined` with one
+of :data:`DECLINE_REASONS` -- an empty stream, a HALT anywhere but the
+stream end, column/event count mismatches, or a live replay under an
+unnameable predictor factory -- and the artifact store runs the
+execute-driven core instead, counting the decline by reason.
 """
 
 from __future__ import annotations
@@ -73,6 +75,25 @@ from .core import _RING, _RING_MASK
 from .ooo import _RING as _OOO_RING, _RING_MASK as _OOO_RING_MASK
 from .stats import SimStats
 from .trace import Trace, predictor_id
+
+#: Why a kernel may decline a replay (``ReplayDeclined.reason``).
+DECLINE_REASONS = (
+    "empty_stream",
+    "mid_stream_halt",
+    "event_mismatch",
+    "unnamed_predictor",
+)
+
+
+class ReplayDeclined(Exception):
+    """The kernels cannot prove this replay bit-exact; run the
+    execute-driven core instead.  ``reason`` is one of
+    :data:`DECLINE_REASONS`."""
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
+
 
 # Per-instruction action codes (uint8 table, one entry per stream
 # position).  The kernels dispatch on these instead of re-deriving
@@ -165,6 +186,7 @@ class ReplayPrep:
     __slots__ = (
         "source_id",
         "base",
+        "declined",
         "pred_bits",
         "ras_bits",
         "streams",
@@ -177,6 +199,8 @@ class ReplayPrep:
     def __init__(self, source_id: int) -> None:
         self.source_id = source_id
         self.base: Optional[Dict] = None
+        #: The base layer's decline reason, cached like a layer.
+        self.declined: Optional[str] = None
         self.pred_bits: Dict = {}
         self.ras_bits: Dict[int, np.ndarray] = {}
         self.streams: Dict = {}
@@ -216,17 +240,17 @@ class ReplayPrep:
 # ------------------------------------------------------------------ layers
 
 
-def _build_base(trace: Trace, decoded) -> Optional[Dict]:
+def _build_base(trace: Trace, decoded) -> Dict:
     """Mode/geometry-independent gathers over the committed stream.
 
-    Returns ``None`` when the trace violates an assumption the
-    vectorized path relies on (the scalar oracle then handles it)."""
+    Raises :class:`ReplayDeclined` when the trace violates an
+    assumption the kernels rely on."""
     rows = decoded.rows
     nrows = len(rows)
     pcs_np = trace.column("pcs")
     n = len(pcs_np)
     if n == 0 or nrows == 0:
-        return None
+        raise ReplayDeclined("empty_stream")
 
     kind_by_pc = np.fromiter(
         (row[0] for row in rows), np.uint8, count=nrows
@@ -250,7 +274,7 @@ def _build_base(trace: Trace, decoded) -> Optional[Dict]:
     kind_s = kind_by_pc[pcs_np]
     halt_pos = np.flatnonzero(kind_s == K_HALT)
     if len(halt_pos) and (len(halt_pos) > 1 or halt_pos[0] != n - 1):
-        return None  # HALT anywhere but the end: oracle territory
+        raise ReplayDeclined("mid_stream_halt")
     halted = bool(len(halt_pos))
 
     ld_pos = np.flatnonzero(kind_s == K_LOAD)
@@ -272,11 +296,11 @@ def _build_base(trace: Trace, decoded) -> Optional[Dict]:
         or len(ret_pos) != len(trace.ret_targets)
         or len(pr_pos) != len(trace.predict_taken)
     ):
-        return None
+        raise ReplayDeclined("event_mismatch")
 
     spec_mask = spec_by_pc[pcs_np][ld_pos] != 0
     if int(np.count_nonzero(spec_mask)) != len(trace.load_suppressed):
-        return None
+        raise ReplayDeclined("event_mismatch")
     sup_per_load = np.zeros(len(ld_pos), np.uint8)
     sup_per_load[spec_mask] = trace.column("load_suppressed")
 
@@ -432,7 +456,7 @@ def _build_stream(
     if base["halted"]:
         act[n - 1] = A_HALT
 
-    # Fetch-line resets (the scalar loops' ``current_line = -1``).
+    # Fetch-line resets (the cores' ``current_line = -1``).
     reset = np.zeros(n, bool)
     reset[jmp_pos] = True
     reset[call_pos] = True
@@ -675,25 +699,29 @@ def _build_kernel(
 def _prepare(program, trace: Trace, config: MachineConfig, recorded: bool,
              core: str):
     """Assemble (base, stream, mem, btb_bits, btb_misses) for one
-    replay, building/reusing cached layers; ``None`` -> scalar path."""
+    replay, building/reusing cached layers; raises
+    :class:`ReplayDeclined` when the kernels cannot take the trace."""
     decoded = predecode(program)
     source_id = id(decoded.rows)
     prep = trace._prep
     if prep is None or prep.source_id != source_id:
         prep = ReplayPrep(source_id)
         trace._prep = prep
-    if prep.base is None:
-        prep.base = _build_base(trace, decoded) or False
+    if prep.base is None and prep.declined is None:
+        try:
+            prep.base = _build_base(trace, decoded)
+        except ReplayDeclined as declined:
+            prep.declined = declined.reason
+    if prep.declined is not None:
+        raise ReplayDeclined(prep.declined)
     base = prep.base
-    if base is False:
-        return None
 
     if recorded:
         mode_key = "recorded"
     else:
         pid = predictor_id(config.predictor_factory)
-        if pid is None:
-            return None  # unnameable factory: no safe cache key
+        if pid is None:  # no safe cache key for the live prep layers
+            raise ReplayDeclined("unnamed_predictor")
         mode_key = ("live", pid)
     _pred_bits_for(prep, base, mode_key, config)
 
@@ -726,60 +754,6 @@ def _prepare(program, trace: Trace, config: MachineConfig, recorded: bool,
         kernel = _build_kernel(base, stream, mem, btb_events, btb_bits)
         prep.kernels[kernel_key] = kernel
     return base, stream, mem, kernel, btb_misses
-
-
-# ------------------------------------------------------- prep reuse API
-
-
-def warm_replay_prep(
-    program,
-    trace: Trace,
-    config: MachineConfig,
-    recorded: bool = True,
-    core: str = "inorder",
-) -> bool:
-    """Build (or reuse) every prep layer one replay of ``trace`` under
-    ``config`` would need, without running the replay.
-
-    The batched execution plane uses this contract implicitly -- the
-    layers live on the trace object, so any sweep point sharing the
-    trace (same worker LRU entry or shared-memory attach) pays only
-    for the layers its ``(mode, ras, geometry, btb)`` key adds, with
-    the predictor-dependent ``pred_bits``/``streams`` layers re-run
-    exactly when ``predictor_id`` changes.  Returns ``False`` when the
-    trace falls outside the vectorized path (the scalar oracle needs
-    no prep).
-    """
-    return _prepare(program, trace, config, recorded, core) is not None
-
-
-def prep_layer_counts(trace: Trace) -> Dict[str, int]:
-    """Entry counts per cached prep layer (zeros when no prep yet).
-
-    Observability for tests and the batch benchmark: after N sweep
-    points of one trace that vary only BTB size, ``btbs`` should have
-    N entries while ``base``/``pred_bits``/``streams`` stay at 1 --
-    the signature of cross-point reuse.
-    """
-    prep = getattr(trace, "_prep", None)
-    if prep is None:
-        return {
-            name: 0
-            for name in (
-                "base", "pred_bits", "ras_bits", "streams", "mems",
-                "btbs", "kernels", "regions",
-            )
-        }
-    return {
-        "base": 1 if prep.base else 0,
-        "pred_bits": len(prep.pred_bits),
-        "ras_bits": len(prep.ras_bits),
-        "streams": len(prep.streams),
-        "mems": len(prep.mems),
-        "btbs": len(prep.btbs),
-        "kernels": len(prep.kernels),
-        "regions": len(prep.regions),
-    }
 
 
 # ------------------------------------------------- persisted prep slices
@@ -934,8 +908,8 @@ def build_prep_slice(
     it: the container holds numpy columns for the predictor bits (live
     mode), RAS bits, the stream action codes, the cache-level pre-pass
     outputs, and both cores' BTB miss sets, plus the derived counters.
-    ``None`` when the trace falls outside the vectorized path or has
-    no safe slice key."""
+    ``None`` when the kernels decline the trace or it has no safe
+    slice key."""
     keys = _slice_keys(trace, config)
     if keys is None:
         return None
@@ -943,9 +917,10 @@ def build_prep_slice(
     recorded = mode == "recorded"
     # Warm both cores so one persisted slice serves in-order and OOO
     # replays alike (the OOO BTB event set is PREDICTs only -- cheap).
-    if _prepare(program, trace, config, recorded, "inorder") is None:
-        return None
-    if _prepare(program, trace, config, recorded, "ooo") is None:
+    try:
+        _prepare(program, trace, config, recorded, "inorder")
+        _prepare(program, trace, config, recorded, "ooo")
+    except ReplayDeclined:
         return None
     prep = trace._prep
     stream = prep.streams[stream_key]
@@ -1175,19 +1150,14 @@ def attach_prep_slice(
 
 def replay_inorder_stats(
     program, trace: Trace, config: MachineConfig, recorded: bool
-) -> Optional[SimStats]:
-    """In-order replay over precomputed tables; ``None`` -> use the
-    scalar oracle.  Mirrors ``replay.replay_inorder`` bit-exactly."""
-    if config.fetch_buffer_entries <= 0:
-        return None
+) -> SimStats:
+    """In-order replay over precomputed tables, bit-exact against
+    ``InOrderCore.run``; raises :class:`ReplayDeclined`."""
     width = config.width
     port_caps = (0, config.int_ports, config.mem_ports, config.fp_ports)
-    if width <= 0 or min(port_caps[1:]) <= 0:
-        return None  # degenerate caps: let the scalar loop spin/raise
-    prepared = _prepare(program, trace, config, recorded, "inorder")
-    if prepared is None:
-        return None
-    base, stream, mem, kernel, btb_misses = prepared
+    base, stream, mem, kernel, btb_misses = _prepare(
+        program, trace, config, recorded, "inorder"
+    )
 
     n = base["n"]
     front_depth = config.front_end_stages
@@ -1199,7 +1169,7 @@ def replay_inorder_stats(
     # In-order issue times are monotone non-decreasing (``prev_issue``
     # clamp), so occupancy only ever matters at the current issue cycle:
     # a bump past a full cycle always lands on an empty one, and the
-    # stamped rings of the scalar loop collapse to plain counters.
+    # stamped rings of the execute-driven core collapse to plain counters.
     w_t = -1  # cycle the width counter refers to
     w_cnt = 0
     p_times = [-1, -1, -1, -1]  # per-FU port counters, indexed by fu
@@ -1430,17 +1400,14 @@ def replay_ooo_stats(
     config: MachineConfig,
     recorded: bool,
     window: int,
-) -> Optional[SimStats]:
-    """OOO replay over precomputed tables; ``None`` -> scalar oracle.
-    Mirrors ``replay.replay_ooo`` bit-exactly (hardcoded one-cycle
-    redirect bubbles, BTB consulted only by PREDICT, no prev-issue
-    clamp, completion-window gate)."""
-    if window <= 0:
-        return None
-    prepared = _prepare(program, trace, config, recorded, "ooo")
-    if prepared is None:
-        return None
-    base, stream, mem, kernel, _ = prepared
+) -> SimStats:
+    """OOO replay over precomputed tables, bit-exact against
+    ``OutOfOrderCore.run`` (hardcoded one-cycle redirect bubbles, BTB
+    consulted only by PREDICT, no prev-issue clamp, completion-window
+    gate); raises :class:`ReplayDeclined`."""
+    base, stream, mem, kernel, _ = _prepare(
+        program, trace, config, recorded, "ooo"
+    )
 
     n = base["n"]
     width = config.width

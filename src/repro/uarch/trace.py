@@ -19,14 +19,14 @@ Decomposed Branch Buffer in commit order, and fills a
 :class:`TraceCapture` with compact columnar arrays (``array``/packed-bit
 columns).  :class:`Trace` is the immutable result, serialisable to a
 zlib-compressed, per-column-checksummed binary container.  The replay
-loops (:mod:`repro.uarch.replay`) re-run only the *timing* machinery
+kernels (:mod:`repro.uarch.replay`) re-run only the *timing* machinery
 over a trace -- no register values, no memory contents, no evaluator
 calls -- and capture -> replay is bit-identical to the execute-driven
 ``InOrderCore.run`` (see ``tests/golden``,
 ``tests/uarch/test_trace_replay.py`` and
 ``tests/uarch/test_capture_differential.py``).
 
-Columns (event-indexed, cursor-advanced by the replay loop):
+Columns (event-indexed):
 
 ========  ==================  =======================================
 column    type                one entry per
@@ -291,8 +291,7 @@ class Trace:
         dtype; ``backing`` is any object that must stay alive as long
         as the views do (e.g. the ``SharedMemory`` handle).  The views
         behave exactly like owned columns: ``len``/indexing/iteration
-        in the scalar replay loops, and :meth:`column` returns them
-        directly.
+        work as usual, and :meth:`column` returns them directly.
         """
         missing = [name for name, _ in _COLUMNS if name not in views]
         if missing:

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.branchpred import HybridPredictor
+from repro.branchpred import GSharePredictor, HybridPredictor
 from repro.experiments import ExperimentEngine, RunConfig
 from repro.experiments.artifacts import (
     ArtifactStore,
@@ -26,7 +26,7 @@ from repro.experiments.harness import (
     prepare_benchmark,
     run_seed,
 )
-from repro.uarch import MachineConfig
+from repro.uarch import InOrderCore, MachineConfig
 
 
 @pytest.fixture
@@ -194,6 +194,76 @@ class TestSweepCapturesOnce:
         # Result-cache hits: the artifact layer never even runs.
         assert second.cache_hits == len(config.ref_seeds)
         assert second.artifact_totals().get("trace_captures", 0) == 0
+
+
+class TestSweepFallbackReasons:
+    """A K > 1 sweep that cannot fuse still answers exactly like the
+    execute-driven core, and the store names why it did not fuse."""
+
+    def _sweep(self, store, machines):
+        config, baseline, _ = _quick_programs()
+        budget = config.max_instructions
+        mark = store.mark()
+        runs = store.simulate_inorder_sweep(
+            baseline, machines, max_instructions=budget
+        )
+        for machine, run in zip(machines, runs):
+            expected = InOrderCore(machine).run(
+                baseline, max_instructions=budget
+            )
+            assert run.stats == expected.stats
+            assert run.registers == expected.registers
+        return store.delta(mark)
+
+    def test_mixed_modes(self, store):
+        delta = self._sweep(
+            store,
+            [
+                MachineConfig.paper_default(width=4),
+                MachineConfig.paper_default(width=8).with_predictor(
+                    GSharePredictor
+                ),
+            ],
+        )
+        assert delta["fused_fallbacks"] == 1
+        assert delta["fused_fallback_mixed_modes"] == 1
+        assert delta["trace_replays"] == 2
+        assert "fused_passes" not in delta
+
+    def test_mismatched_slices(self, store):
+        import dataclasses
+
+        delta = self._sweep(
+            store,
+            [
+                MachineConfig.paper_default(width=4),
+                dataclasses.replace(
+                    MachineConfig.paper_default(width=8), btb_entries=1024
+                ),
+            ],
+        )
+        assert delta["fused_fallbacks"] == 1
+        assert delta["fused_fallback_mismatched_slices"] == 1
+        assert delta["trace_replays"] == 2
+        assert "fused_passes" not in delta
+
+    def test_kernel_declined(self, store):
+        def unnamed():
+            return GSharePredictor()
+
+        delta = self._sweep(
+            store,
+            [
+                MachineConfig.paper_default(width=w).with_predictor(unnamed)
+                for w in (2, 4)
+            ],
+        )
+        assert delta["fused_fallbacks"] == 1
+        assert delta["fused_fallback_kernel_declined"] == 1
+        # Both points then decline per-point and run the core.
+        assert delta["replay_declines"] == 2
+        assert delta["replay_decline_unnamed_predictor"] == 2
+        assert "trace_replays" not in delta
 
 
 class TestSeedSharing:

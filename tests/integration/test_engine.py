@@ -11,7 +11,9 @@ import pytest
 
 from repro.core import SelectionConfig
 from repro.experiments import ExperimentEngine, RunConfig
+from repro.experiments import artifacts as artifacts_mod
 from repro.experiments import engine as engine_mod
+from repro.experiments import faults as faults_mod
 from repro.experiments.engine import code_version, fingerprint
 
 
@@ -143,7 +145,7 @@ class TestObservability:
         )
         engine.run_benchmark("h264ref", config)
         manifest = engine.manifest(config)
-        assert manifest["schema"] == 9
+        assert manifest["schema"] == 10
         block = manifest["engine"]
         assert block["run_id"] == "m3"
         assert block["resume"] is False
@@ -212,6 +214,8 @@ class TestEnvKnobs:
                 ("REPRO_JOB_TIMEOUT", "x", engine_mod._env_job_timeout),
                 ("REPRO_RETRY_BACKOFF", "1s", engine_mod._env_retry_backoff),
                 ("REPRO_BATCH", "two", engine_mod._env_batch),
+                ("REPRO_TRACE_LRU_MB", "lots", artifacts_mod._env_lru_bytes),
+                ("REPRO_FAULT_HANG_S", "forever", faults_mod.hang_seconds),
             )
         ],
     )

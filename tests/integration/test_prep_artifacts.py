@@ -20,7 +20,7 @@ from repro.branchpred import GSharePredictor
 from repro.experiments import RunConfig, cachectl, plane
 from repro.experiments.artifacts import ArtifactStore
 from repro.experiments.harness import prepare_benchmark
-from repro.uarch import replay_vec
+from repro.uarch import InOrderCore, OutOfOrderCore, replay_vec
 
 
 @pytest.fixture
@@ -113,9 +113,9 @@ class TestPrepPersistence:
         assert "prep_builds" not in delta
         assert len(_prep_files(tmp_path)) == 1
 
-    def test_cached_prep_matches_scalar_oracle(
-        self, store, tmp_path, monkeypatch
-    ):
+    def test_cached_prep_matches_scalar_oracle(self, store, tmp_path):
+        """Replays over an attached slice match the scalar oracle --
+        the instruction-at-a-time execute-driven cores."""
         config, baseline, _ = _quick_programs()
         machine = config.machine_for(4)
         store.simulate_inorder(
@@ -132,19 +132,11 @@ class TestPrepPersistence:
             baseline, machine, max_instructions=config.max_instructions
         )
         assert warm.counters.get("prep_hits") == 1
-        monkeypatch.setenv("REPRO_REPLAY_VECTORIZED", "0")
-        oracle = ArtifactStore(cache_dir=tmp_path)
-        ref_io = oracle.simulate_inorder(
-            baseline, machine, max_instructions=config.max_instructions
+        ref_io = InOrderCore(machine).run(
+            baseline, max_instructions=config.max_instructions
         )
-        ref_ooo = oracle.simulate_ooo(
-            baseline, machine, max_instructions=config.max_instructions
-        )
-        # The scalar path never touches the prep cache at all.
-        assert not any(
-            count
-            for name, count in oracle.counters.items()
-            if name.startswith("prep_")
+        ref_ooo = OutOfOrderCore(machine).run(
+            baseline, max_instructions=config.max_instructions
         )
         assert vec_io.cycles == ref_io.cycles
         assert vec_io.stats == ref_io.stats

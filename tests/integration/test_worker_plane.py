@@ -254,7 +254,7 @@ class TestBatchedDispatch:
     def test_manifest_schema5_plane_fields(self, tmp_path, monkeypatch):
         engine, _ = self._sweep(tmp_path, monkeypatch, "1", "1")
         manifest = engine.manifest()
-        assert manifest["schema"] == MANIFEST_SCHEMA == 9
+        assert manifest["schema"] == MANIFEST_SCHEMA == 10
         totals = manifest["totals"]
         assert totals["pool_respawns"] == 0
         assert totals["batches"] == 2

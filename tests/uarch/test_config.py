@@ -3,7 +3,7 @@
 import pytest
 
 from repro.branchpred import HybridPredictor, TagePredictor
-from repro.uarch import MachineConfig
+from repro.uarch import MachineConfig, OutOfOrderCore, replay_ooo
 
 
 class TestTable1:
@@ -49,6 +49,43 @@ class TestTable1:
     def test_unsupported_width_rejected(self):
         with pytest.raises(ValueError):
             MachineConfig(width=3)
+
+
+class TestDegenerateConfigs:
+    """Zero ports would spin both cores' issue search forever and a
+    zero-sized fetch buffer, BTB or OOO window would index an empty
+    table, so construction rejects them, naming the field."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("int_ports", 0),
+            ("mem_ports", 0),
+            ("fp_ports", -1),
+            ("fetch_buffer_entries", 0),
+            ("btb_entries", 0),
+            ("front_end_stages", -1),
+            ("btb_miss_bubble", -1),
+            ("taken_redirect_bubble", -1),
+        ],
+    )
+    def test_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MachineConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field",
+        ["front_end_stages", "btb_miss_bubble", "taken_redirect_bubble"],
+    )
+    def test_zero_depth_and_bubbles_allowed(self, field):
+        assert getattr(MachineConfig(**{field: 0}), field) == 0
+
+    def test_ooo_window_rejected(self):
+        with pytest.raises(ValueError, match="window"):
+            OutOfOrderCore(window=0)
+        # Replay checks the window before it looks at its inputs.
+        with pytest.raises(ValueError, match="window"):
+            replay_ooo(None, None, window=0)
 
 
 class TestVariants:

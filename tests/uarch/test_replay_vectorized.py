@@ -1,13 +1,14 @@
-"""Vectorized-vs-scalar replay equivalence, tier-1 scale.
+"""Vectorized replay vs the execute-driven cores, tier-1 scale.
 
-The golden suite already holds the default (vectorized) replay path
-to the execute-driven fingerprints; this file is the fast guard that
-compares the two replay implementations *directly* on a small
-workload -- in-order and OOO, recorded and live prediction -- and
-pins down the dispatch contract: the env knob forces the scalar
-oracle, and the fast path really is the one running otherwise
-(``trace._prep`` only materialises when a vectorized kernel accepts
-the trace).
+The golden suite already holds the replay path to the execute-driven
+fingerprints; this file is the fast guard that compares the
+vectorized kernels *directly* against the scalar reference -- the
+instruction-at-a-time ``InOrderCore.run`` / ``OutOfOrderCore.run`` --
+on a small workload, in-order and OOO, recorded and live prediction.
+It also pins the decline contract: a trace the kernels cannot prove
+safe raises :class:`ReplayDeclined` with a named reason, and the
+artifact store then runs the execute-driven core and counts the
+decline.
 """
 
 from __future__ import annotations
@@ -22,10 +23,13 @@ from repro.compiler import (
     compile_decomposed,
     profile_program,
 )
+from repro.experiments.artifacts import ArtifactStore
 from repro.ir import lower
 from repro.uarch import (
     InOrderCore,
     MachineConfig,
+    OutOfOrderCore,
+    ReplayDeclined,
     Trace,
     TraceMismatch,
     capture_trace,
@@ -35,6 +39,17 @@ from repro.uarch import (
 from repro.workloads import spec_benchmark
 
 _BUDGET = 60_000
+_COLUMN_NAMES = (
+    "pcs",
+    "branch_pred",
+    "branch_taken",
+    "predict_taken",
+    "resolve_diverted",
+    "load_addrs",
+    "load_suppressed",
+    "store_addrs",
+    "ret_targets",
+)
 
 
 @pytest.fixture(scope="module")
@@ -60,81 +75,115 @@ def setup():
     return programs, traces, machine
 
 
-def _scalar(monkeypatch, fn, *args, **kwargs):
-    monkeypatch.setenv("REPRO_REPLAY_VECTORIZED", "0")
-    try:
-        return fn(*args, **kwargs)
-    finally:
-        monkeypatch.delenv("REPRO_REPLAY_VECTORIZED")
+def _core_run(program, config, window=None):
+    core = (
+        InOrderCore(config)
+        if window is None
+        else OutOfOrderCore(config, window=window)
+    )
+    return core.run(program, max_instructions=_BUDGET)
 
 
 @pytest.mark.parametrize("kind", ["baseline", "decomposed"])
 @pytest.mark.parametrize("width", [2, 8])
-def test_inorder_vectorized_matches_scalar(setup, monkeypatch, kind, width):
+def test_inorder_vectorized_matches_scalar(setup, kind, width):
     programs, traces, _ = setup
     config = MachineConfig.paper_default(width=width)
     fast = replay_inorder(programs[kind], traces[kind], config)
-    slow = _scalar(
-        monkeypatch, replay_inorder, programs[kind], traces[kind], config
-    )
+    slow = _core_run(programs[kind], config)
     assert dataclasses.asdict(fast.stats) == dataclasses.asdict(slow.stats)
     assert fast.registers == slow.registers
-    # The comparison is meaningless if the fast path declined the
-    # trace and both runs were scalar: prep proves the kernel ran.
+    assert fast.memory.snapshot() == slow.memory.snapshot()
     assert traces[kind]._prep is not None
 
 
 @pytest.mark.parametrize("kind", ["baseline", "decomposed"])
-def test_ooo_vectorized_matches_scalar(setup, monkeypatch, kind):
+def test_ooo_vectorized_matches_scalar(setup, kind):
     programs, traces, machine = setup
     fast = replay_ooo(programs[kind], traces[kind], machine, window=32)
-    slow = _scalar(
-        monkeypatch,
-        replay_ooo,
-        programs[kind],
-        traces[kind],
-        machine,
-        window=32,
-    )
+    slow = _core_run(programs[kind], machine, window=32)
     assert dataclasses.asdict(fast.stats) == dataclasses.asdict(slow.stats)
+    assert fast.registers == slow.registers
     assert traces[kind]._prep is not None
 
 
-def test_live_predictor_replay_matches_scalar(setup, monkeypatch):
+def test_live_predictor_replay_matches_scalar(setup):
     """A baseline trace replayed under a *different* predictor runs
     the predictor live; the vectorized path batches that predictor
-    pass and must still agree with the scalar loop."""
+    pass and must still agree with the execute-driven core."""
     programs, traces, _ = setup
     config = MachineConfig.paper_default(width=4).with_predictor(
         GSharePredictor
     )
     fast = replay_inorder(programs["baseline"], traces["baseline"], config)
-    slow = _scalar(
-        monkeypatch,
-        replay_inorder,
-        programs["baseline"],
-        traces["baseline"],
-        config,
-    )
+    slow = _core_run(programs["baseline"], config)
     assert dataclasses.asdict(fast.stats) == dataclasses.asdict(slow.stats)
 
 
-def test_env_knob_forces_scalar_oracle(setup, monkeypatch):
-    """``REPRO_REPLAY_VECTORIZED=0`` must keep the fast path fully
-    out of the loop: no prep is ever attached to the trace."""
+def test_declined_trace_runs_core_via_store(setup, tmp_path, monkeypatch):
+    """An unnameable live predictor (a lambda) has no safe prep key,
+    so the kernel declines; the store runs the execute-driven core,
+    bit-identical to ``InOrderCore.run``, and counts the decline."""
+    programs, traces, _ = setup
+    program = programs["baseline"]
+    config = MachineConfig.paper_default(width=4).with_predictor(
+        lambda: GSharePredictor()
+    )
+    with pytest.raises(ReplayDeclined) as excinfo:
+        replay_inorder(program, traces["baseline"], config)
+    assert excinfo.value.reason == "unnamed_predictor"
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    store = ArtifactStore(cache_dir=tmp_path)
+    mark = store.mark()
+    result = store.simulate_inorder(
+        program, config, max_instructions=_BUDGET
+    )
+    ooo = store.simulate_ooo(
+        program, config, max_instructions=_BUDGET, window=32
+    )
+    expected = _core_run(program, config)
+    assert dataclasses.asdict(result.stats) == dataclasses.asdict(
+        expected.stats
+    )
+    assert result.registers == expected.registers
+    assert result.memory.snapshot() == expected.memory.snapshot()
+    assert ooo.stats == _core_run(program, config, window=32).stats
+    delta = store.delta(mark)
+    assert delta["replay_declines"] == 2
+    assert delta["replay_decline_unnamed_predictor"] == 2
+    assert "trace_replays" not in delta
+
+
+def test_empty_stream_declines_to_core(setup, tmp_path, monkeypatch):
+    """A zero-instruction budget captures an empty stream: the kernel
+    declines it by name and the store's core run matches exactly."""
+    programs, _, machine = setup
+    program = programs["decomposed"]
+    empty = capture_trace(program, machine.predictor_factory, 0)
+    with pytest.raises(ReplayDeclined) as excinfo:
+        replay_inorder(program, empty, machine)
+    assert excinfo.value.reason == "empty_stream"
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    store = ArtifactStore(cache_dir=tmp_path)
+    result = store.simulate_inorder(program, machine, max_instructions=0)
+    expected = InOrderCore(machine).run(program, max_instructions=0)
+    assert result.stats == expected.stats
+    assert store.counters["replay_decline_empty_stream"] == 1
+
+
+def test_truncated_event_column_declines(setup):
+    """A trace whose event columns disagree with its stream is
+    refused by name, never replayed into a wrong answer."""
     programs, traces, machine = setup
-    result = InOrderCore(machine).run(
-        programs["baseline"], max_instructions=_BUDGET
-    )
-    fresh = Trace.from_bytes(
-        capture_trace(
-            programs["baseline"], machine.predictor_factory, _BUDGET
-        ).to_bytes()
-    )
-    monkeypatch.setenv("REPRO_REPLAY_VECTORIZED", "0")
-    replayed = replay_inorder(programs["baseline"], fresh, machine)
-    assert replayed.stats == result.stats
-    assert fresh._prep is None
+    trace = traces["baseline"]
+    views = {name: trace.column(name) for name in _COLUMN_NAMES}
+    views["load_addrs"] = views["load_addrs"][:-1]
+    broken = Trace.from_views(dict(trace.meta), views)
+    with pytest.raises(ReplayDeclined) as excinfo:
+        replay_inorder(programs["baseline"], broken, machine)
+    assert excinfo.value.reason == "event_mismatch"
 
 
 class TestMismatchMessages:
