@@ -7,17 +7,16 @@ Two layers:
   zlib inflate + prep rebuild) vs the shared-memory plane (a cold
   store attaching the published columns zero-copy);
 * a snapshot (``results/BENCH_worker_plane.json``) of a warm
-  multi-point machine sweep replaying one captured trace: per-job
-  dispatch modelled as one cold store per point (the price every
-  point paid whenever it landed on a worker whose LRU had not seen
-  the trace -- always, right after a watchdog respawn) vs the fused
-  batch the plane's dispatcher submits (one worker store that maps
-  the trace once and reuses the layered replay prep across points).
-  Gated at the ISSUE's >= 1.5x.
+  multi-point machine sweep replaying one captured trace: one cold
+  store per point (the price a point pays when it lands on a worker
+  whose LRU has not seen the trace -- always, right after a watchdog
+  respawn) vs one warm worker store (what a pool worker's resident
+  store gives every job after its first: the trace mapped once and
+  the layered replay prep reused across points).  Gated at >= 1.5x.
 
 The pool-level dispatcher is deliberately not wall-clocked here: on a
 1-2 core CI box a pool ratio measures scheduler noise, not the plane.
-Engine-level behaviour (batched == per-job bit-for-bit, schema-5
+Engine-level behaviour (plane on == plane off bit-for-bit, schema-11
 manifests, segment lifecycle) is pinned by
 ``tests/integration/test_worker_plane.py``.
 """
@@ -41,8 +40,8 @@ _SWEEP_BTBS = (1024, 4096)
 
 
 def _sweep_machines():
-    """A width x BTB machine sweep sharing one captured trace -- the
-    shape the dispatcher fuses into a single batch per group."""
+    """A width x BTB machine sweep sharing one captured trace -- one
+    artifact group of sweep points."""
     import dataclasses
 
     return [
@@ -141,23 +140,22 @@ def _best_of(fn, reps=3):
 
 
 def test_worker_plane_snapshot(tmp_path, monkeypatch):
-    """Archive per-job vs batched warm-sweep walls in
-    ``results/BENCH_worker_plane.json`` and hold the fused batch to
-    the >= 1.5x target on a warm multi-point sweep."""
+    """Archive cold-store vs warm-store sweep walls in
+    ``results/BENCH_worker_plane.json`` and hold the warm worker store
+    to the >= 1.5x target on a warm multi-point sweep."""
     monkeypatch.setenv("REPRO_SHM", "0")
     monkeypatch.delenv(plane.PREFIX_ENV, raising=False)
     program = _seed_point_key(tmp_path)
     machines = _sweep_machines()
 
-    def per_job():
-        # One cold store per point: per-job dispatch to a worker whose
-        # LRU has not seen the trace (the guaranteed state after any
-        # respawn, and the common one across a pool).
+    def cold_store_per_point():
+        # Every point on a worker whose LRU has not seen the trace
+        # (the guaranteed state after any respawn).
         return [_cold_point(tmp_path, program, m) for m in machines]
 
-    def batched():
-        # One fused batch: the worker's store maps the trace once and
-        # the layered replay prep accumulates across the points.
+    def warm_worker_store():
+        # One worker-resident store: it maps the trace once and the
+        # layered replay prep accumulates across the points.
         store = ArtifactStore(cache_dir=tmp_path)
         return [
             store.simulate_inorder(
@@ -166,10 +164,10 @@ def test_worker_plane_snapshot(tmp_path, monkeypatch):
             for m in machines
         ]
 
-    per_job_wall, before = _best_of(per_job)
-    batched_wall, after = _best_of(batched)
+    cold_wall, before = _best_of(cold_store_per_point)
+    warm_wall, after = _best_of(warm_worker_store)
     assert [r.stats for r in before] == [r.stats for r in after], (
-        "batched sweep changed the results"
+        "warm worker store changed the results"
     )
 
     # Point-load flavor: container inflate vs zero-copy shm attach.
@@ -195,14 +193,14 @@ def test_worker_plane_snapshot(tmp_path, monkeypatch):
             "sweep_btb_entries": list(_SWEEP_BTBS),
         },
         "lever": (
-            "REPRO_BATCH / REPRO_SHM (batched dispatch modelled as one "
-            "warm worker store; per-job as one cold store per point)"
+            "worker-resident store (one store per pool worker, kept "
+            "across jobs) + REPRO_SHM"
         ),
         "warm_sweep": {
             "points": len(machines),
-            "per_job_wall_s": round(per_job_wall, 3),
-            "batched_wall_s": round(batched_wall, 3),
-            "speedup": round(per_job_wall / batched_wall, 2),
+            "cold_store_per_point_wall_s": round(cold_wall, 3),
+            "warm_worker_store_wall_s": round(warm_wall, 3),
+            "speedup": round(cold_wall / warm_wall, 2),
         },
         "point_load": {
             "disk_inflate_s": round(disk_s, 4),
@@ -210,7 +208,7 @@ def test_worker_plane_snapshot(tmp_path, monkeypatch):
             "speedup": round(disk_s / shm_s, 2),
         },
         "note": (
-            "warm_sweep gates the fused-batch execution model; "
+            "warm_sweep gates the worker-resident store; "
             "point_load isolates the zero-copy segment attach the "
             "plane gives workers that never decoded the trace"
         ),

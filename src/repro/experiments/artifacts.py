@@ -16,7 +16,7 @@ replay-everywhere layer on top of the experiment cache:
   cores, and (for baseline programs) across direction predictors.
 * **Prep slices** (``.../preps/<key>.prep``): the derived replay-prep
   layers of one ``(trace content digest, prediction mode, config
-  class)`` -- batched predictor bits, RAS/BTB miss sets, stream action
+  class)`` -- whole-stream predictor bits, RAS/BTB miss sets, stream action
   codes and the cache-tag pre-pass outputs
   (:mod:`repro.uarch.replay_vec`) -- serialised as numpy columns in a
   versioned container.  Built at most once per cache root, attached
@@ -114,6 +114,7 @@ from ..uarch.trace import (
     predictor_id,
 )
 from . import faults, plane
+from .engine import _env_flag, _env_number
 from .store import FileStore, quarantine_file
 
 #: Bump when a JSON artifact layout changes.
@@ -166,39 +167,30 @@ _STORE_COUNTER_MAP = {
 _PROFILE_MEMO_CAP = 128
 
 
-def _env_flag(name: str, default: bool = True) -> bool:
-    raw = os.environ.get(name, "").strip().lower()
-    if not raw:
-        return default
-    return raw not in ("0", "false", "no", "off")
-
-
 def trace_cache_enabled() -> bool:
     """Disk persistence of traces (``REPRO_TRACE_CACHE``)."""
-    return _env_flag("REPRO_TRACE_CACHE")
+    return _env_flag("REPRO_TRACE_CACHE", True)
 
 
 def replay_enabled() -> bool:
     """The whole artifact fast path (``REPRO_TRACE_REPLAY``): trace
     capture/replay plus shared profile/compile artifacts.  Off, every
     job recomputes everything -- the pre-artifact-store pipeline."""
-    return _env_flag("REPRO_TRACE_REPLAY")
+    return _env_flag("REPRO_TRACE_REPLAY", True)
 
 
 def prep_cache_enabled() -> bool:
     """Persisted replay-prep slices (``REPRO_PREP_CACHE``): the
-    derived-layer cache that lets a replay skip the batched predictor
+    derived-layer cache that lets a replay skip the whole-stream predictor
     pass, the cache-tag pre-pass and the BTB re-simulation entirely
     when any worker or earlier run already computed them for the same
     ``(trace content, predictor, config class)``.  Off, prep layers
     are recomputed per process exactly as before (results are
     bit-identical either way)."""
-    return _env_flag("REPRO_PREP_CACHE")
+    return _env_flag("REPRO_PREP_CACHE", True)
 
 
 def _env_lru_bytes() -> int:
-    from .engine import _env_number
-
     mb = _env_number("REPRO_TRACE_LRU_MB", float, 256.0)
     return max(0, int(mb * 1024 * 1024))
 

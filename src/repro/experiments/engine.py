@@ -2,10 +2,11 @@
 
 Every paper figure is a bag of *independent* simulation jobs (one
 benchmark, one REF seed, every width -- see :func:`.harness.run_seed`).
-The engine fans those jobs out over a :class:`ProcessPoolExecutor`,
-reassembles the results deterministically (order is fixed by submission
-index, never completion time), and memoises each job on disk so that
-re-running a figure after touching only a report renderer is instant.
+The engine fans those jobs out over worker processes (one
+:class:`ProcessPoolExecutor` slot each), reassembles the results
+deterministically (order is fixed by submission index, never
+completion time), and memoises each job on disk so that re-running a
+figure after touching only a report renderer is instant.
 
 * Worker count comes from the ``REPRO_JOBS`` environment variable, the
   CLI ``--jobs`` flag, or ``os.cpu_count()``; ``jobs=1`` is the serial
@@ -25,9 +26,10 @@ re-running a figure after touching only a report renderer is instant.
   infrastructure fault and is retried with exponential backoff + jitter
   (``REPRO_RETRIES``, default 2); a job that exceeds the per-job
   timeout (``REPRO_JOB_TIMEOUT`` / ``--job-timeout``) is detected by a
-  watchdog that kills and respawns the pool, resubmitting innocent
-  in-flight jobs at no attempt cost.  Deterministic worker exceptions
-  are never retried -- they would fail identically again.
+  watchdog that kills and respawns its worker.  Each worker runs one
+  job at a time in its own slot, so a death or a kill charges exactly
+  that job and no other.  Deterministic worker exceptions are never
+  retried -- they would fail identically again.
 * **Checkpoint/resume**: when the engine has a ``run_id``, every
   finished job (success or final failure) is appended to a run journal
   (``results/.cache/runs/<run-id>.jsonl``) the moment it completes;
@@ -40,13 +42,9 @@ re-running a figure after touching only a report renderer is instant.
 * **Warm-worker plane**: on the parallel path the engine exports a
   run-scoped shared-memory prefix so workers publish decoded traces
   once per machine (:mod:`.plane`) and map them zero-copy thereafter;
-  follower sweep points of one artifact group are *fused into batches*
-  (:func:`_run_job_batch`) so one worker submission loads/maps the
-  trace once and reuses the layered replay prep across every point.
-  Each batch point spools its envelope to disk the moment it finishes,
-  so a crash mid-batch retries only the unfinished remainder and
-  ``--resume`` replays completed points from the journal individually
-  -- per-point isolation, caching, and journalling are unchanged.
+  each pool worker keeps one store for its whole lifetime
+  (:func:`_pool_worker_init`), so every job it runs after the first
+  replays from a warm LRU and prep.  Every submission is one job.
 * Fault injection: see :mod:`.faults` (``REPRO_FAULT_INJECT``) for the
   deterministic harness that exercises all of the above in tests.
 
@@ -56,10 +54,9 @@ Environment knobs: ``REPRO_JOBS`` (worker count), ``REPRO_CACHE=0``
 default 2), ``REPRO_JOB_TIMEOUT`` (per-job seconds, 0 = off),
 ``REPRO_RETRY_BACKOFF`` (base backoff seconds, default 0.5),
 ``REPRO_FAULT_INJECT`` (fault plan), ``REPRO_SHM=0`` (disable the
-shared-memory trace plane), ``REPRO_BATCH`` (0 = per-job dispatch,
-1 = fuse each whole artifact group, N>1 = cap fused batches at N
-points; default 1).  A malformed numeric knob raises ``ValueError``
-naming the variable.
+shared-memory trace plane), ``REPRO_PROFILE=1`` (cProfile every job).
+A malformed knob -- numeric or on/off -- raises ``ValueError`` naming
+the variable.
 """
 
 from __future__ import annotations
@@ -103,9 +100,9 @@ CACHE_SCHEMA = 1
 #: attempt counts, failure tracebacks, and the run id / robustness knobs;
 #: v4 adds per-job and total artifact counters (trace capture/replay,
 #: shared profile and compile hits -- see :mod:`.artifacts`); v5 adds
-#: batch accounting (``batches``/``batch_points``), shared-memory plane
-#: counters, per-job ``worker_pid``/``batched``, and a per-worker
-#: artifact-counter breakdown (``workers``); v6 added an execution
+#: shared-memory plane counters, per-job ``worker_pid``, a per-worker
+#: artifact-counter breakdown (``workers``) and the fused-dispatch
+#: totals and per-job flag that v11 retires; v6 added an execution
 #: backend block (removed again in v9); v7 adds the persisted
 #: replay-prep slice counters to the per-job/total artifact blocks
 #: (``prep_hits``/``prep_misses``/``prep_builds``/``prep_quarantined`` plus
@@ -130,8 +127,12 @@ CACHE_SCHEMA = 1
 #: ``unnamed_predictor``) whenever the replay kernel declined and the
 #: execute-driven core ran instead, and ``fused_fallback_<reason>``
 #: (``mixed_modes``/``mismatched_slices``/``kernel_declined``) beside
-#: ``fused_fallbacks``, which also counts ``fused_diverges``.
-MANIFEST_SCHEMA = 10
+#: ``fused_fallbacks``, which also counts ``fused_diverges``; v11
+#: retires fused follower dispatch: every pool submission is one job
+#: on its own one-worker slot (``pool_respawns`` now counts slot
+#: respawns), the per-job fused-point flag is gone, and the two
+#: fused-dispatch totals stay only as constant zeros.
+MANIFEST_SCHEMA = 11
 
 #: Repo-level results directory (works for the src-layout checkout).
 RESULTS_DIR = pathlib.Path(__file__).resolve().parents[3] / "results"
@@ -180,12 +181,6 @@ def fingerprint(obj: Any) -> Any:
 
 #: Number of cumulative-time entries kept per profiled job.
 PROFILE_TOP = 20
-
-
-def _env_profile_enabled() -> bool:
-    return os.environ.get("REPRO_PROFILE", "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
 
 
 def _profile_text(profiler) -> str:
@@ -253,7 +248,7 @@ def _run_timed(
         store = None
     try:
         faults.inject_worker_faults(label, attempt, in_process=in_process)
-        if _env_profile_enabled():
+        if _env_flag("REPRO_PROFILE", False):
             import cProfile
 
             profiler = cProfile.Profile()
@@ -279,49 +274,12 @@ def _run_timed(
     }
 
 
-def _run_job_batch(
-    worker: Callable[[Any], Dict],
-    items: Sequence[tuple],
-    attempt: int,
-    spool_path: str,
-) -> Dict:
-    """Run a fused batch of sweep points in one worker submission.
-
-    ``items`` is ``[(payload, label), ...]`` -- every point of one
-    artifact group, so the first point's trace load warms the
-    worker-resident store (or maps the shared-memory segment) and every
-    later point replays from it, layered prep included.  Points run
-    through :func:`_run_timed` individually: one point raising never
-    takes down its batch-mates.
-
-    Each envelope is appended (and flushed) to ``spool_path`` *before*
-    the next point starts.  If the worker dies mid-batch the parent
-    reads the spool, absorbs the completed prefix, and requeues only
-    the remainder -- the crash-retry granularity stays per-point, as in
-    the unbatched engine.  The ``batch_die`` fault kind injects exactly
-    that death, between points, deterministically.
-    """
-    envelopes: List[Dict] = []
-    with open(spool_path, "w") as spool:
-        for payload, label in items:
-            if faults.should_batch_die(label, attempt):
-                os._exit(faults.DIE_EXIT_STATUS)
-            envelope = _run_timed(worker, payload, label, attempt)
-            envelopes.append(envelope)
-            spool.write(json.dumps(envelope) + "\n")
-            spool.flush()
-            # fsync: the spool is read back after this process is
-            # SIGKILLed -- a page-cache-only tail would replay short.
-            os.fsync(spool.fileno())
-    return {"status": "batch", "envelopes": envelopes}
-
-
 def _pool_worker_init(env: Dict[str, str]) -> None:
     """Pool initializer: pin the artifact environment in the worker and
     build the worker-resident store before the first job arrives.
 
     The store (and everything it memoises) lives for the worker's whole
-    lifetime, across batches; after a watchdog kill-and-respawn the
+    lifetime, across jobs; after a watchdog kill-and-respawn the
     fresh workers run this again and transparently repopulate -- their
     first trace load maps the shared-memory segment a previous
     incarnation published instead of re-inflating from disk.
@@ -362,15 +320,32 @@ def _env_number(name: str, parse: Callable[[str], Any], default: Any):
         ) from None
 
 
+#: Spellings an on/off knob accepts (case-insensitive).
+_FLAG_VALUES = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
+def _env_flag(name: str, default: bool) -> bool:
+    """On/off knob ``name``; unset or blank gives ``default``.  Any
+    value outside ``1/true/yes/on`` and ``0/false/no/off`` raises
+    ``ValueError`` naming the variable and what it held."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    try:
+        return _FLAG_VALUES[raw.lower()]
+    except KeyError:
+        raise ValueError(
+            f"{name}={raw!r}: expected one of 1/true/yes/on or "
+            f"0/false/no/off"
+        ) from None
+
+
 def _env_jobs() -> int:
     jobs = _env_number("REPRO_JOBS", int, None)
     return max(1, jobs) if jobs is not None else os.cpu_count() or 1
-
-
-def _env_cache_enabled() -> bool:
-    return os.environ.get("REPRO_CACHE", "1").strip().lower() not in (
-        "0", "false", "no", "off",
-    )
 
 
 def _env_retries() -> int:
@@ -384,24 +359,6 @@ def _env_job_timeout() -> Optional[float]:
 
 def _env_retry_backoff() -> float:
     return max(0.0, _env_number("REPRO_RETRY_BACKOFF", float, 0.5))
-
-
-def _env_batch() -> int:
-    """``REPRO_BATCH``: 0 = per-job dispatch (no fusing), 1 = fuse each
-    whole artifact group into one submission (default), N>1 = cap fused
-    batches at N points."""
-    return max(0, _env_number("REPRO_BATCH", int, 1))
-
-
-def _fuse(members: Sequence[int], cap: int) -> List[tuple]:
-    """Chunk a released follower group into batch id-tuples."""
-    if cap == 0:
-        return [(i,) for i in members]
-    if cap == 1:
-        return [tuple(members)]
-    return [
-        tuple(members[j : j + cap]) for j in range(0, len(members), cap)
-    ]
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -428,7 +385,7 @@ class _JobState:
 
     __slots__ = (
         "result", "wall_s", "source", "profile", "status", "error",
-        "attempts", "artifacts", "worker_pid", "batched",
+        "attempts", "artifacts", "worker_pid",
     )
 
     def __init__(self) -> None:
@@ -444,8 +401,6 @@ class _JobState:
         #: Worker-process artifact-counter movement (from the envelope).
         self.artifacts: Optional[Dict] = None
         self.worker_pid: Optional[int] = None
-        #: Ran as part of a fused batch submission.
-        self.batched = False
 
 
 class ExperimentEngine:
@@ -472,7 +427,8 @@ class ExperimentEngine:
                 or RESULTS_DIR / ".cache"
             )
         self.use_cache = (
-            use_cache if use_cache is not None else _env_cache_enabled()
+            use_cache if use_cache is not None
+            else _env_flag("REPRO_CACHE", True)
         )
         self.progress = progress
         #: Journal identity; ``None`` disables journalling entirely.
@@ -505,13 +461,9 @@ class ExperimentEngine:
         self.cache_misses = 0
         self.journal_hits = 0
         self.cache_quarantined = 0
-        #: Fused batch submissions absorbed (full or spool-recovered).
-        self.batches = 0
-        #: Sweep points that ran inside fused batches.
-        self.batch_points = 0
         #: Shared-memory segments unlinked at run end.
         self.shm_segments_cleaned = 0
-        #: Pools killed and respawned (watchdog timeouts, broken pools).
+        #: Worker slots killed and respawned (timeouts, dead workers).
         self.pool_respawns = 0
         #: Prefix of the most recent parallel map's shm segments (kept
         #: after cleanup so tests can assert the namespace is empty).
@@ -622,8 +574,9 @@ class ExperimentEngine:
                 "journal_hits": self.journal_hits,
                 "quarantined": self.cache_quarantined,
                 "artifacts": artifact_totals,
-                "batches": self.batches,
-                "batch_points": self.batch_points,
+                # Always 0: perfbench/ledger.py still reads both.
+                "batches": 0,
+                "batch_points": 0,
                 "fused_passes": artifact_totals.get("fused_passes", 0),
                 "fused_points": artifact_totals.get("fused_points", 0),
                 "shm_segments_cleaned": self.shm_segments_cleaned,
@@ -814,12 +767,9 @@ class ExperimentEngine:
         content-addressed artifacts (traces/profiles), so the first
         pending job of each group runs as the *leader* -- it captures
         and persists the shared artifacts -- and the rest of the group
-        is held back until the leader finishes, then fanned out to
-        replay from the warm store.  On the parallel path released
-        followers are additionally *fused* into batched submissions
-        (``REPRO_BATCH``, default: one batch per group) that map the
-        trace once and reuse the layered replay prep across points,
-        and decoded traces travel between workers through the
+        is held back until the leader finishes, then fanned out -- one
+        submission per follower -- to replay from the warm store.
+        Decoded traces travel between workers through the
         shared-memory plane (``REPRO_SHM``).  Only the parallel path
         reorders; ``jobs=1`` already runs in payload order.  Result
         order is unaffected.
@@ -943,7 +893,6 @@ class ExperimentEngine:
         keys: Sequence[str],
         states: Sequence[_JobState],
         tick: Callable[[int], None],
-        batched: bool = False,
     ) -> None:
         """Fold one worker envelope into the job state; persist it."""
         state = states[i]
@@ -951,7 +900,6 @@ class ExperimentEngine:
         state.wall_s = envelope.get("wall_s", 0.0)
         state.artifacts = envelope.get("artifacts")
         state.worker_pid = envelope.get("worker_pid")
-        state.batched = batched
         if envelope.get("status") == "ok":
             state.result = envelope.get("result")
             state.profile = envelope.get("profile")
@@ -1037,199 +985,128 @@ class ExperimentEngine:
         self, worker, payloads, labels, keys, states, pending, tick,
         groups=None,
     ) -> None:
-        """The supervised pool: one lazily (re)spawned
-        :class:`ProcessPoolExecutor` runs every pending job.
+        """The supervised pool: ``jobs`` worker slots, each a lazily
+        (re)spawned one-process :class:`ProcessPoolExecutor` running
+        one job at a time.
 
-        Queue entries are ``(ids, attempt, not_before)`` where ``ids``
-        is a tuple of payload indices: a single-element tuple is a
-        plain job, a longer one a fused batch (:func:`_run_job_batch`).
-        At most one submission per worker is in flight.  A finished
-        future's envelope is absorbed (batch or single); a future that
-        raises outside the worker function (e.g. its envelope failed to
-        unpickle) is a deterministic failure, never retried.  A dead
-        worker breaks the pool: every future on it settles as a
-        charged ``broken-pool`` infrastructure fault and the pool is
-        respawned.  The per-job deadline watchdog (``job_timeout``
-        seconds per point) can only kill whole pools: expired
-        submissions are charged a ``timeout``, ones that finished in
-        the meantime fold normally, and still-running innocents requeue
-        uncharged.  A charged fault first recovers any spooled batch
-        points, then retries the remainder after an
-        exponential-backoff-with-jitter delay (:meth:`_infra_fault`).
+        Queue entries are ``(i, attempt, not_before)`` for payload index
+        ``i``; every submission is one job on a free slot.  A finished
+        future's envelope is absorbed; a future that raises outside the
+        worker function (e.g. its envelope failed to unpickle) is a
+        deterministic failure, never retried.  A dead worker breaks only
+        its own slot, so exactly the job it was running is charged a
+        ``broken-pool`` infrastructure fault and the slot is respawned.
+        The per-job deadline watchdog (``job_timeout`` seconds) kills
+        and respawns the slot of an overrunning job and charges it a
+        ``timeout``; jobs on other slots never notice.  A charged job is
+        retried after an exponential-backoff-with-jitter delay
+        (:meth:`_infra_fault`).
 
         Artifact groups (see :meth:`map`): the first pending member of
         each group enters the queue as leader; the rest wait in
-        ``held`` and are released the moment the leader reaches a
-        terminal status (ok *or* failed -- followers of a failed
-        leader still run, they just find a cold artifact store).  On
-        release the group's followers are fused into batches of up to
-        ``REPRO_BATCH`` points.
+        ``held`` and are released, each as its own submission, the
+        moment the leader reaches a terminal status (ok *or* failed --
+        followers of a failed leader still run, they just find a cold
+        artifact store).
         """
-        max_workers = min(self.jobs, len(pending))
         timeout = self.job_timeout
         poll_s = max(0.01, min(0.1, timeout / 5.0)) if timeout else 0.1
-        batch_cap = _env_batch()
         queue: List[tuple] = []
         held: Dict[Any, List[int]] = {}
         leaders: Dict[Any, int] = {}
         for i in pending:
             group = groups[i] if groups is not None else None
             if group is None:
-                queue.append(((i,), 0, 0.0))
+                queue.append((i, 0, 0.0))
             elif group not in leaders:
                 leaders[group] = i
-                queue.append(((i,), 0, 0.0))
+                queue.append((i, 0, 0.0))
             else:
                 held.setdefault(group, []).append(i)
-        #: future -> (ids, attempt, spool, deadline)
+        slots: List[Optional[ProcessPoolExecutor]] = [None] * min(
+            self.jobs, len(pending)
+        )
+        #: future -> (i, attempt, deadline, slot)
         inflight: Dict[Future, tuple] = {}
-        pool: Optional[ProcessPoolExecutor] = None
 
-        def respawn() -> None:
-            nonlocal pool
-            if pool is not None:
-                _kill_pool(pool)
-                pool = None
+        def respawn(slot: int) -> None:
+            if slots[slot] is not None:
+                _kill_pool(slots[slot])
+                slots[slot] = None
                 self.pool_respawns += 1
 
-        def submit(ids: tuple, attempt: int) -> bool:
-            nonlocal pool
-            if pool is None:
-                pool = ProcessPoolExecutor(
-                    max_workers=max_workers,
+        def submit(i: int, attempt: int) -> bool:
+            busy = {entry[3] for entry in inflight.values()}
+            slot = next(n for n in range(len(slots)) if n not in busy)
+            if slots[slot] is None:
+                slots[slot] = ProcessPoolExecutor(
+                    max_workers=1,
                     initializer=_pool_worker_init,
                     initargs=(self._worker_env(),),
                 )
-            spool = self._new_spool() if len(ids) > 1 else None
             try:
-                if spool is None:
-                    future = pool.submit(
-                        _run_timed, worker, payloads[ids[0]],
-                        labels[ids[0]], attempt,
-                    )
-                else:
-                    future = pool.submit(
-                        _run_job_batch, worker,
-                        [(payloads[i], labels[i]) for i in ids],
-                        attempt, str(spool),
-                    )
+                future = slots[slot].submit(
+                    _run_timed, worker, payloads[i], labels[i], attempt
+                )
             except Exception:
-                # The pool broke between loops; kill it so outstanding
-                # futures settle (as broken-pool faults on the next
-                # poll) and re-offer this entry uncharged.
-                self._discard_spool(spool)
-                respawn()
+                # The idle worker died between polls; respawn the slot
+                # and re-offer this entry uncharged.
+                respawn(slot)
                 return False
-            deadline = (
-                time.monotonic() + timeout * len(ids) if timeout else None
-            )
-            inflight[future] = (ids, attempt, spool, deadline)
+            deadline = time.monotonic() + timeout if timeout else None
+            inflight[future] = (i, attempt, deadline, slot)
             return True
 
-        def charge(ids, attempt, spool, fault, exc) -> None:
-            remaining = self._recover_batch(
-                ids, attempt, spool, labels, keys, states, tick
-            )
+        def charge(i, attempt, fault, exc) -> None:
             self._infra_fault(
-                queue, remaining, attempt, fault, exc,
-                labels, keys, states, tick,
+                queue, i, attempt, fault, exc, labels, keys, states, tick
             )
 
-        def fail_all(ids, attempt, error) -> None:
-            for i in ids:
-                states[i].attempts = attempt + 1
-                self._fail(i, "failed", error, labels, keys, states)
-                tick(i)
-
-        def settle(future: Future) -> bool:
-            """Fold one finished future; True when its pool is broken."""
-            ids, attempt, spool, _ = inflight.pop(future)
+        def settle(future: Future) -> None:
+            i, attempt, _, slot = inflight.pop(future)
             try:
                 envelope = future.result() or {}
             except (BrokenProcessPool, CancelledError) as exc:
-                charge(ids, attempt, spool, "broken-pool", exc)
-                return True
+                respawn(slot)
+                charge(i, attempt, "broken-pool", exc)
+                return
             except Exception as exc:
                 # e.g. the envelope failed to unpickle: deterministic.
-                self._discard_spool(spool)
-                fail_all(ids, attempt, _error_dict(exc))
-                return False
-            self._discard_spool(spool)
-            if envelope.get("status") != "batch":
-                self._absorb(
-                    ids[0], attempt, envelope, labels, keys, states, tick
+                states[i].attempts = attempt + 1
+                self._fail(
+                    i, "failed", _error_dict(exc), labels, keys, states
                 )
-                return False
-            envelopes = envelope.get("envelopes") or []
-            for j, env in enumerate(envelopes[: len(ids)]):
-                self._absorb(
-                    ids[j], attempt, env, labels, keys, states, tick,
-                    batched=True,
-                )
-            fail_all(
-                ids[len(envelopes):], attempt,
-                {
-                    "type": "IncompleteBatch",
-                    "message": "batch returned fewer envelopes than "
-                    "points",
-                    "traceback": "",
-                },
-            )
-            self.batches += 1
-            self.batch_points += min(len(envelopes), len(ids))
-            return False
+                tick(i)
+                return
+            self._absorb(i, attempt, envelope, labels, keys, states, tick)
 
         def watchdog() -> None:
             now = time.monotonic()
-            expired = {
-                future
-                for future, (_, _, _, deadline) in inflight.items()
-                if deadline is not None
-                and now >= deadline
-                and not future.done()
-            }
-            if not expired:
-                return
-            # Classify before the kill, which settles every future
-            # still on the pool: expired submissions are charged a
-            # timeout, completed-in-the-meantime ones fold normally,
-            # innocents requeue uncharged.
-            finished = {future for future in inflight if future.done()}
-            victims = list(inflight)
-            respawn()
-            for future in victims:
-                if future in finished:
-                    settle(future)
+            for future, (i, attempt, deadline, slot) in list(
+                inflight.items()
+            ):
+                if deadline is None or now < deadline or future.done():
                     continue
-                ids, attempt, spool, _ = inflight.pop(future)
-                if future in expired:
-                    exc = TimeoutError(
-                        f"job {labels[ids[0]]!r} (batch of {len(ids)}) "
-                        f"exceeded {timeout * len(ids):g}s "
-                        f"(attempt {attempt})"
-                    )
-                    charge(ids, attempt, spool, "timeout", exc)
-                    continue
-                remaining = self._recover_batch(
-                    ids, attempt, spool, labels, keys, states, tick
-                )
-                if remaining:
-                    queue.append((remaining, attempt, 0.0))
+                del inflight[future]
+                respawn(slot)
+                charge(i, attempt, "timeout", TimeoutError(
+                    f"job {labels[i]!r} exceeded {timeout:g}s "
+                    f"(attempt {attempt})"
+                ))
 
         try:
             while queue or inflight or held:
                 for group in list(held):
                     if states[leaders[group]].status != "pending":
-                        for ids in _fuse(held.pop(group), batch_cap):
-                            queue.append((ids, 0, 0.0))
+                        queue.extend((i, 0, 0.0) for i in held.pop(group))
                 now = time.monotonic()
                 deferred: List[tuple] = []
                 for entry in queue:
-                    ids, attempt, not_before = entry
+                    i, attempt, not_before = entry
                     if (
                         not_before > now
-                        or len(inflight) >= max_workers
-                        or not submit(ids, attempt)
+                        or len(inflight) >= len(slots)
+                        or not submit(i, attempt)
                     ):
                         deferred.append(entry)
                 queue[:] = deferred
@@ -1246,106 +1123,35 @@ class ExperimentEngine:
                     set(inflight), timeout=poll_s,
                     return_when=FIRST_COMPLETED,
                 )
-                broken = False
                 for future in done:
-                    broken = settle(future) or broken
-                if broken:
-                    # Every other future on the dead pool resolves
-                    # exceptionally as well; settle them all, respawn.
-                    for future in list(inflight):
-                        settle(future)
-                    respawn()
-                elif timeout:
+                    settle(future)
+                if timeout:
                     watchdog()
         except KeyboardInterrupt:
             for future in inflight:
                 future.cancel()
-            if pool is not None:
-                _kill_pool(pool)
-            for _, _, spool, _ in inflight.values():
-                self._discard_spool(spool)
+            for pool in slots:
+                if pool is not None:
+                    _kill_pool(pool)
             raise
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    # -- batch spools ------------------------------------------------------
-
-    def _new_spool(self) -> pathlib.Path:
-        """Fresh spool file for one fused batch submission."""
-        spool_dir = self.cache_dir / "batches"
-        spool_dir.mkdir(parents=True, exist_ok=True)
-        return spool_dir / f"{secrets.token_hex(8)}.jsonl"
-
-    @staticmethod
-    def _discard_spool(spool) -> None:
-        if spool is None:
-            return
-        try:
-            os.unlink(spool)
-        except OSError:
-            pass
-
-    def _recover_batch(
-        self, ids, attempt, spool, labels, keys, states, tick
-    ) -> tuple:
-        """Absorb the points a dead/expired batch already spooled.
-
-        Returns the unfinished tail of ``ids``.  The spool holds one
-        JSON envelope line per completed point, appended in batch
-        order; a torn final line (the worker died mid-append) is
-        ignored.  Completed points are absorbed exactly as if their
-        future had returned -- cached, journalled, ticked -- so the
-        retry re-runs *only* the remainder, and ``--resume`` sees each
-        point individually.
-        """
-        if spool is None:
-            return tuple(ids)
-        envelopes: List[Dict] = []
-        try:
-            raw = pathlib.Path(spool).read_text()
-        except OSError:
-            raw = ""
-        for line in raw.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                env = json.loads(line)
-            except ValueError:
-                break  # torn tail: the point was mid-write when it died
-            if not isinstance(env, dict):
-                break
-            envelopes.append(env)
-        self._discard_spool(spool)
-        done = min(len(envelopes), len(ids))
-        for j in range(done):
-            self._absorb(
-                ids[j], attempt, envelopes[j], labels, keys, states, tick,
-                batched=True,
-            )
-        if done:
-            self.batches += 1
-            self.batch_points += done
-        return tuple(ids[done:])
+        for pool in slots:
+            if pool is not None:
+                pool.shutdown(wait=True)
 
     def _infra_fault(
-        self, queue, ids, attempt, kind, exc, labels, keys, states, tick
+        self, queue, i, attempt, kind, exc, labels, keys, states, tick
     ) -> None:
-        """A dead worker process or a timeout: retry with backoff until
-        the attempt budget runs out, then record the final status.
-        ``ids`` is the (possibly spool-reduced) tuple of points still
-        owed a result; empty means the batch actually finished."""
-        if not ids:
-            return
+        """A dead worker process or a timeout: retry job ``i`` with
+        backoff until the attempt budget runs out, then record the
+        final status."""
         if attempt < self.retries:
             not_before = time.monotonic() + self._backoff_delay(attempt)
-            queue.append((tuple(ids), attempt + 1, not_before))
+            queue.append((i, attempt + 1, not_before))
             return
         status = "timeout" if kind == "timeout" else "failed"
-        for i in ids:
-            states[i].attempts = attempt + 1
-            self._fail(i, status, _error_dict(exc), labels, keys, states)
-            tick(i)
+        states[i].attempts = attempt + 1
+        self._fail(i, status, _error_dict(exc), labels, keys, states)
+        tick(i)
 
     def _finalise(
         self,
@@ -1399,7 +1205,6 @@ class ExperimentEngine:
                 "attempts": state.attempts,
                 "error": state.error,
                 "worker_pid": state.worker_pid,
-                "batched": state.batched,
                 "wall_s": wall,
                 "simulated_cycles": cycles,
                 "committed_instructions": committed,

@@ -36,10 +36,6 @@ Kinds:
   abandons an extra never-ready segment next to a published one:
   simulates a worker killed between creating and filling a segment,
   and exercises the engine's run-end ``/dev/shm`` sweep.
-* ``batch_die``     -- the worker process calls ``os._exit`` *between
-  points of a fused batch*: simulates a mid-batch OOM kill and
-  exercises spool recovery (completed points absorbed, only the
-  unfinished remainder retried).
 * ``fused_diverge`` -- the sweep-fused replay pass
   (:mod:`repro.uarch.replay_multi`) corrupts one seeded config lane's
   stat accumulators right before lane validation: exercises
@@ -50,8 +46,8 @@ Kinds:
   *after* recording its digest: exercises digest verification,
   quarantine, and recapture on the next read.
 
-Decisions are independent per kind.  ``crash``/``die``/``hang``/
-``batch_die`` hash the attempt number too, so a retried job may
+Decisions are independent per kind.  ``crash``/``die``/``hang``
+hash the attempt number too, so a retried job may
 (deterministically) succeed on a later attempt; ``corrupt_cache``/
 ``corrupt_trace``/``shm_leak``/``fused_diverge``/``torn_put`` are
 attempt-independent.
@@ -73,7 +69,6 @@ FAULT_KINDS = (
     "corrupt_cache",
     "corrupt_trace",
     "shm_leak",
-    "batch_die",
     "fused_diverge",
     "torn_put",
 )
@@ -232,18 +227,6 @@ def should_leak_shm(key: str) -> bool:
     """Plane-side decision: abandon a stray segment for this trace?"""
     plan = plan_from_env()
     return plan is not None and plan.decide("shm_leak", key)
-
-
-def should_batch_die(label: str, attempt: int) -> bool:
-    """Batch-runner decision: ``os._exit`` before this batch point?
-
-    Unlike ``die`` (which fires at the top of a job), ``batch_die`` is
-    checked by the fused batch runner between points, *after* earlier
-    points have spooled their envelopes -- the partial-progress case
-    the recovery path exists for.
-    """
-    plan = plan_from_env()
-    return plan is not None and plan.decide("batch_die", label, attempt)
 
 
 def fuse_diverge_lane(label: str, lanes: int) -> Optional[int]:

@@ -3,8 +3,8 @@
 The artifact store's trace fast path still paid a per-*process* tax:
 every pool worker that needed a trace re-read the zlib RVTRACE1
 container from disk and re-inflated it into fresh column arrays,
-because the hot-trace LRU lives inside each worker.  With batched
-sweeps that is one redundant decompress per (worker x trace), and a
+because the hot-trace LRU lives inside each worker.  Across a sweep
+that is one redundant decompress per (worker x trace), and a
 watchdog respawn throws even that warmth away.
 
 This module publishes *decoded* trace columns into
@@ -40,13 +40,13 @@ Lifecycle -- leak-proof by construction:
   engine unlinks everything under its prefix when the run ends
   (normally, on ``KeyboardInterrupt``, and again via ``atexit`` as a
   backstop), scanning ``/dev/shm`` so even segments created by a
-  worker that was killed mid-batch -- whose names the parent never
+  worker that was killed mid-job -- whose names the parent never
   learned -- are reclaimed.
 
 The plane also carries *replay-prep slices* (:func:`publish_prep` /
 :func:`attach_prep`): the serialised derived layers of
 :mod:`repro.uarch.replay_vec`, published once by whichever worker
-built them so batch followers attach the predictor bits, cache-level
+built them so group followers attach the predictor bits, cache-level
 and BTB tables zero-copy instead of recomputing them.  Prep segments
 live under the same run prefix (tagged ``p``), so the engine's
 run-end sweep reclaims them identically.
@@ -83,16 +83,11 @@ PREFIX_ENV = "REPRO_SHM_PREFIX"
 _KEY_CHARS = 16
 
 
-def _env_flag(name: str, default: bool = True) -> bool:
-    raw = os.environ.get(name, "").strip().lower()
-    if not raw:
-        return default
-    return raw not in ("0", "false", "no", "off")
-
-
 def shm_enabled() -> bool:
     """The ``REPRO_SHM`` knob (default on)."""
-    return _env_flag("REPRO_SHM")
+    from .engine import _env_flag
+
+    return _env_flag("REPRO_SHM", True)
 
 
 def shm_available() -> bool:

@@ -17,7 +17,7 @@ So replay splits into two halves:
 
 * a **precompute** pass, array-at-a-time with numpy: per-kind index
   arrays from the predecoded rows, redirect/reset classification,
-  batched predictor bits (recorded bits verbatim; live mode runs the
+  whole-stream predictor bits (recorded bits verbatim; live mode runs the
   predictor once over the branch column, standalone), a cache-tag
   pre-pass assigning a hit level to every I-cache/load/store access,
   and a BTB/RAS re-simulation over just their event streams.  The

@@ -5,6 +5,7 @@ exercised on every pytest run.
 """
 
 import dataclasses
+import functools
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from repro.experiments import ExperimentEngine, RunConfig
 from repro.experiments import artifacts as artifacts_mod
 from repro.experiments import engine as engine_mod
 from repro.experiments import faults as faults_mod
+from repro.experiments import plane as plane_mod
 from repro.experiments.engine import code_version, fingerprint
 
 
@@ -145,7 +147,7 @@ class TestObservability:
         )
         engine.run_benchmark("h264ref", config)
         manifest = engine.manifest(config)
-        assert manifest["schema"] == 10
+        assert manifest["schema"] == 11
         block = manifest["engine"]
         assert block["run_id"] == "m3"
         assert block["resume"] is False
@@ -213,9 +215,16 @@ class TestEnvKnobs:
                 ("REPRO_RETRIES", "many", engine_mod._env_retries),
                 ("REPRO_JOB_TIMEOUT", "x", engine_mod._env_job_timeout),
                 ("REPRO_RETRY_BACKOFF", "1s", engine_mod._env_retry_backoff),
-                ("REPRO_BATCH", "two", engine_mod._env_batch),
                 ("REPRO_TRACE_LRU_MB", "lots", artifacts_mod._env_lru_bytes),
                 ("REPRO_FAULT_HANG_S", "forever", faults_mod.hang_seconds),
+                ("REPRO_CACHE", "disable", ExperimentEngine),
+                ("REPRO_PROFILE", "enabled", functools.partial(
+                    engine_mod._env_flag, "REPRO_PROFILE", False)),
+                ("REPRO_SHM", "nope", plane_mod.shm_enabled),
+                ("REPRO_TRACE_CACHE", "disabled",
+                 artifacts_mod.trace_cache_enabled),
+                ("REPRO_TRACE_REPLAY", "2", artifacts_mod.replay_enabled),
+                ("REPRO_PREP_CACHE", "y", artifacts_mod.prep_cache_enabled),
             )
         ],
     )
@@ -225,6 +234,18 @@ class TestEnvKnobs:
         monkeypatch.setenv(name, value)
         with pytest.raises(ValueError, match=f"{name}='{value}'"):
             reader()
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("1", True), ("TRUE", True), ("yes", True), (" on ", True),
+         ("0", False), ("False", False), ("no", False), ("OFF", False),
+         ("", None)],
+    )
+    def test_flag_vocabulary(self, monkeypatch, value, expected):
+        monkeypatch.setenv("REPRO_SHM", value)
+        for default in (True, False):
+            want = default if expected is None else expected
+            assert engine_mod._env_flag("REPRO_SHM", default) is want
 
 
 class TestQuickConfig:

@@ -84,6 +84,8 @@ class TestFaultPlan:
             parse_plan("crash:1.5")
         with pytest.raises(ValueError):
             parse_plan("lease_expire:0.1")
+        with pytest.raises(ValueError):
+            parse_plan("batch_die:0.1")
         assert parse_plan("") is None
         assert parse_plan("   ") is None
 
@@ -107,8 +109,8 @@ class TestFaultPlan:
             assert not never.decide("crash", label, 0)
 
     def test_plane_fault_kinds_parse(self):
-        plan = parse_plan("shm_leak:1.0,batch_die:0.5@seed=3")
-        assert plan.rates == {"shm_leak": 1.0, "batch_die": 0.5}
+        plan = parse_plan("shm_leak:1.0,die:0.5@seed=3")
+        assert plan.rates == {"shm_leak": 1.0, "die": 0.5}
         assert parse_plan(plan.spec()) == plan
 
 
@@ -158,9 +160,9 @@ class TestBrokenPool:
         assert record["attempts"] == 2  # initial try + 1 retry
         assert record["error"]["type"] == "BrokenProcessPool"
 
-    def test_mid_batch_death_spares_other_jobs(self, tmp_path):
-        """A pool death mid-batch must not lose the independent jobs
-        that were merely co-resident in the dying pool."""
+    def test_pool_death_spares_other_jobs(self, tmp_path):
+        """A pool death must not lose the independent jobs that were
+        merely co-resident in the dying pool."""
         payloads = [(str(tmp_path), 0), (str(tmp_path), 1)]
         engine = ExperimentEngine(jobs=2, use_cache=False, retries=3)
         results = engine.map(
@@ -281,32 +283,37 @@ class TestCrashInjectionSmoke:
         assert [r is None for r in results] == expected
 
 
-class TestBatchDispatchFaults:
-    """Fused follower batches under injection: a worker death between
-    batch points loses only the unfinished tail (the spool absorbs the
-    completed prefix), and every point still checkpoints individually."""
+class TestGroupedDispatchFaults:
+    """A grouped sweep under a ``die`` plan.  Every follower is its own
+    submission on its own worker slot, so a death costs a retry to the
+    follower that died and to nothing else, and every point
+    checkpoints exactly once."""
 
-    def test_batch_die_retries_only_unfinished_points(
+    def test_die_charges_only_the_followers_that_died(
         self, tmp_path, monkeypatch
     ):
-        spec = "batch_die:0.4@seed=11"
-        payloads = list(range(10))
-        labels = [f"bd{i}" for i in payloads]
+        spec = "die:0.3@seed=39"
+        labels = [f"gd{i}" for i in range(10)]
         groups = ["g1"] * 5 + ["g2"] * 5
-        # Leaders (the first pending member of each group) run solo and
-        # cannot batch_die; the seed is chosen so at least one follower
-        # does on its first attempt.
+        leaders = {labels[0], labels[5]}
+        followers = set(labels) - leaders
+        # The seed spares both leaders, kills some (not all) followers
+        # of each group on their first attempt, and kills nobody on a
+        # retry.
         plan = parse_plan(spec)
-        followers = labels[1:5] + labels[6:]
-        assert any(plan.decide("batch_die", l, 0) for l in followers)
+        died = {l for l in followers if plan.decide("die", l, 0)}
+        assert died & set(labels[:5]) and died & set(labels[5:])
+        assert died != followers
+        assert not any(plan.decide("die", l, 0) for l in leaders)
+        assert not any(plan.decide("die", l, 1) for l in followers)
 
         monkeypatch.setenv("REPRO_FAULT_INJECT", spec)
         engine = ExperimentEngine(
             jobs=2, cache_dir=tmp_path, use_cache=True,
-            run_id="bd", retries=3,
+            run_id="gd", retries=1,
         )
         results = engine.map(
-            _square_job, payloads, labels=labels, groups=groups
+            _square_job, list(range(10)), labels=labels, groups=groups
         )
         assert results == [
             {
@@ -314,20 +321,17 @@ class TestBatchDispatchFaults:
                 "simulated_cycles": 10,
                 "committed_instructions": 10,
             }
-            for i in payloads
+            for i in range(10)
         ]
         assert all(r["status"] == "ok" for r in engine.records)
-        assert engine.batches >= 2
-        # The deaths charged retries to the unfinished points only;
-        # leaders (and spool-absorbed prefix points) stay at 1 attempt.
-        assert max(r["attempts"] for r in engine.records) >= 2
-        assert min(r["attempts"] for r in engine.records) == 1
-        # Per-point checkpointing survives batching: one journal line
-        # per sweep point, none duplicated.
-        journal = tmp_path / "runs" / "bd.jsonl"
-        assert len(journal.read_text().splitlines()) == 10
-        # Settled (and recovered) batches remove their spools.
-        assert list((tmp_path / "batches").glob("*.jsonl")) == []
+        attempts = {r["label"]: r["attempts"] for r in engine.records}
+        assert attempts == {l: 2 if l in died else 1 for l in labels}
+        assert engine.pool_respawns == len(died)
+        # One journal line per point, none duplicated.
+        journal = tmp_path / "runs" / "gd.jsonl"
+        lines = [json.loads(l) for l in journal.read_text().splitlines()]
+        assert sorted(e["label"] for e in lines) == labels
+        assert all(e["status"] == "ok" for e in lines)
 
 
 class TestInterruptResume:

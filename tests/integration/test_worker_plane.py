@@ -1,11 +1,11 @@
-"""The warm-worker execution plane: shared-memory traces, batched
+"""The warm-worker execution plane: shared-memory traces, grouped
 dispatch, and the leak-proof segment lifecycle.
 
 Unit-level tests drive ``repro.experiments.plane`` directly under a
 hand-set run prefix; engine-level tests run real 2-process pools whose
 workers share a tiny trace through the artifact store, so publish /
-attach, batch fusion, respawn remapping, and run-end cleanup are
-exercised the same way production sweeps exercise them.
+attach, leader/follower holding, respawn remapping, and run-end
+cleanup are exercised the same way production sweeps exercise them.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def _clean_plane_env(monkeypatch):
     environment; tests that want them set them explicitly."""
     monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
     for name in (
-        "REPRO_FAULT_INJECT", "REPRO_SHM", "REPRO_BATCH", plane.PREFIX_ENV,
+        "REPRO_FAULT_INJECT", "REPRO_SHM", plane.PREFIX_ENV,
     ):
         monkeypatch.delenv(name, raising=False)
 
@@ -209,10 +209,9 @@ class TestStoreIntegration:
         assert reloaded.to_bytes() == trace.to_bytes()
 
 
-class TestBatchedDispatch:
-    def _sweep(self, cache_dir, monkeypatch, batch, shm, **engine_kw):
+class TestGroupedDispatch:
+    def _sweep(self, cache_dir, monkeypatch, shm, **engine_kw):
         """Two 3-point artifact groups over a 2-process pool."""
-        monkeypatch.setenv("REPRO_BATCH", batch)
         monkeypatch.setenv("REPRO_SHM", shm)
         engine = ExperimentEngine(
             jobs=2, cache_dir=cache_dir, use_cache=True, **engine_kw
@@ -226,39 +225,25 @@ class TestBatchedDispatch:
         )
         return engine, results
 
-    def test_batched_matches_per_job_bit_for_bit(
+    def test_plane_on_matches_plane_off_bit_for_bit(
         self, tmp_path, monkeypatch
     ):
-        batched, a = self._sweep(tmp_path / "a", monkeypatch, "1", "1")
-        plain, b = self._sweep(tmp_path / "b", monkeypatch, "0", "0")
+        on, a = self._sweep(tmp_path / "a", monkeypatch, "1")
+        off, b = self._sweep(tmp_path / "b", monkeypatch, "0")
         assert all(r is not None for r in a)
-        assert a == b  # plane on+batched == plane off+per-job
+        assert a == b
+        assert on.last_shm_prefix is not None
+        assert off.last_shm_prefix is None
 
-        # Per group: the leader runs solo, the 2 followers fuse.
-        assert batched.batches == 2
-        assert batched.batch_points == 4
-        assert any(r["batched"] for r in batched.records)
-        assert plain.batches == 0
-        assert not any(r["batched"] for r in plain.records)
-        assert plain.last_shm_prefix is None
-
-    def test_chunk_cap_splits_groups(self, tmp_path, monkeypatch):
-        """REPRO_BATCH=N caps fused chunks; 1-element chunks degrade
-        to plain submissions and are not counted as batches."""
-        engine, results = self._sweep(tmp_path, monkeypatch, "2", "1")
-        assert all(r is not None for r in results)
-        # 2 followers per group fit one 2-chunk exactly.
-        assert engine.batches == 2
-        assert engine.batch_points == 4
-
-    def test_manifest_schema5_plane_fields(self, tmp_path, monkeypatch):
-        engine, _ = self._sweep(tmp_path, monkeypatch, "1", "1")
+    def test_manifest_schema11_plane_fields(self, tmp_path, monkeypatch):
+        engine, _ = self._sweep(tmp_path, monkeypatch, "1")
         manifest = engine.manifest()
-        assert manifest["schema"] == MANIFEST_SCHEMA == 10
+        assert manifest["schema"] == MANIFEST_SCHEMA == 11
         totals = manifest["totals"]
         assert totals["pool_respawns"] == 0
-        assert totals["batches"] == 2
-        assert totals["batch_points"] == 4
+        # Fused dispatch is gone; its totals stay as constant zeros.
+        assert totals["batches"] == 0
+        assert totals["batch_points"] == 0
         # One publish per group leader, aggregated from the worker-side
         # counters the envelopes carried home.
         assert totals["artifacts"].get("shm_publishes", 0) == 2
@@ -268,24 +253,22 @@ class TestBatchedDispatch:
         assert sum(v["jobs"] for v in workers.values()) == 6
         for record in manifest["jobs"]:
             assert isinstance(record["worker_pid"], int)
-            assert record["batched"] in (True, False)
 
-    def test_resume_replays_batched_points_individually(
+    def test_resume_replays_every_point_from_the_journal(
         self, tmp_path, monkeypatch
     ):
         engine, first = self._sweep(
-            tmp_path, monkeypatch, "1", "1", run_id="wp"
+            tmp_path, monkeypatch, "1", run_id="wp"
         )
         journal = tmp_path / "runs" / "wp.jsonl"
         entries = [
             json.loads(line)
             for line in journal.read_text().splitlines()
         ]
-        # Batched or not, every point checkpoints as its own line.
+        # Leader or follower, every point checkpoints as its own line.
         assert len(entries) == 6
         assert all(e["status"] == "ok" for e in entries)
 
-        monkeypatch.setenv("REPRO_BATCH", "1")
         resumed = ExperimentEngine(
             jobs=2, cache_dir=tmp_path, use_cache=False,
             run_id="wp", resume=True,
@@ -299,12 +282,11 @@ class TestBatchedDispatch:
         )
         assert second == first
         assert resumed.journal_hits == 6
-        assert resumed.batches == 0  # nothing left to dispatch
+        assert resumed.cache_misses == 0  # nothing left to dispatch
 
 
 class TestShmLifecycle:
     def test_run_end_unlinks_every_segment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "1")
         engine = ExperimentEngine(jobs=2, cache_dir=tmp_path, use_cache=True)
         payloads = [(KEY_A, i) for i in range(4)]
         engine.map(
@@ -314,8 +296,6 @@ class TestShmLifecycle:
         assert engine.last_shm_prefix is not None
         assert plane.list_segments(engine.last_shm_prefix) == []
         assert engine.shm_segments_cleaned == 1
-        # Settled batches also removed their spools.
-        assert list((tmp_path / "batches").glob("*.jsonl")) == []
 
     def test_worker_death_respawn_remaps(self, tmp_path, monkeypatch):
         """A respawned worker has a cold LRU; the published segment
@@ -345,7 +325,6 @@ class TestShmLifecycle:
             if done == 1:
                 raise KeyboardInterrupt
 
-        monkeypatch.setenv("REPRO_BATCH", "1")
         engine = ExperimentEngine(
             jobs=2, cache_dir=tmp_path, use_cache=True, progress=progress,
         )
@@ -365,7 +344,6 @@ class TestShmLifecycle:
         """shm_leak faults abandon a never-ready sibling segment per
         publish -- the namespace sweep must reclaim those too."""
         monkeypatch.setenv("REPRO_FAULT_INJECT", "shm_leak:1.0@seed=1")
-        monkeypatch.setenv("REPRO_BATCH", "1")
         engine = ExperimentEngine(jobs=2, cache_dir=tmp_path, use_cache=True)
         keys = [KEY_A, KEY_B]
         payloads = [(keys[i // 2], i) for i in range(4)]
