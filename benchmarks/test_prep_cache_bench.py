@@ -37,7 +37,8 @@ from repro.compiler import compile_baseline, profile_program
 from repro.experiments import plane
 from repro.experiments.artifacts import ArtifactStore
 from repro.ir import lower
-from repro.uarch import MachineConfig
+from repro.uarch import MachineConfig, replay_vec
+from repro.uarch.trace import unpack_columns
 from repro.workloads import spec_benchmark
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
@@ -174,6 +175,14 @@ def test_prep_cache_snapshot(tmp_path, monkeypatch):
     ]
 
     preps = sorted((tmp_path / "preps").glob("*.prep"))
+    blobs = [path.read_bytes() for path in preps]
+    decoded_bytes = sum(
+        column.nbytes
+        for blob in blobs
+        for column in unpack_columns(replay_vec.PREP_MAGIC, blob)[
+            1
+        ].values()
+    )
     snapshot = {
         "config": {
             "workload": "h264ref",
@@ -196,6 +205,10 @@ def test_prep_cache_snapshot(tmp_path, monkeypatch):
             "build_pass": build_totals,
             "warm_pass": warm_totals,
             "persisted_slices": len(preps),
+        },
+        "slice_bytes": {
+            "persisted": sum(len(blob) for blob in blobs),
+            "decoded": decoded_bytes,
         },
         "note": (
             "chain-of-fresh-stores models a fleet (new workers, new "

@@ -18,10 +18,12 @@ replay-everywhere layer on top of the experiment cache:
   layers of one ``(trace content digest, prediction mode, config
   class)`` -- whole-stream predictor bits, RAS/BTB miss sets, stream action
   codes and the cache-tag pre-pass outputs
-  (:mod:`repro.uarch.replay_vec`) -- serialised as numpy columns in a
-  versioned container.  Built at most once per cache root, attached
-  zero-copy from the shared-memory plane by pool siblings and from
-  the digest-verified blob store by later runs.
+  (:mod:`repro.uarch.replay_vec`) -- serialised as narrowed, zlib-
+  compressed, per-column-checksummed numpy columns in a versioned
+  container (the trace codec, :func:`repro.uarch.trace.pack_columns`).
+  Built at most once per cache root, inflated from the shared-memory
+  plane by pool siblings and from the digest-verified blob store by
+  later runs.
 * **Branch traces** (``.../profiles/<key>.btrace``): the functional
   TRAIN branch-outcome stream, predictor-independent, shared by every
   predictor a sensitivity ladder measures it with.
@@ -394,9 +396,11 @@ class ArtifactStore:
 
         Lookup order mirrors :meth:`load_trace`: layers already on the
         trace object (no counter movement -- in-process memoisation is
-        not a cache event), then the shared-memory plane (zero-copy
-        attach published by a sibling worker), then the digest-verified
-        blob store (``preps/<key>.prep``, shared across runs).  A
+        not a cache event), then the shared-memory plane (a container
+        a sibling worker published, inflated here), then the
+        digest-verified blob store (``preps/<key>.prep``, shared
+        across runs).  Either source is validated and inflated by
+        :func:`repro.uarch.replay_vec.attach_prep_slice`.  A
         miss builds every layer once, publishes the slice to the plane
         and persists it, so the build count per cache root and
         ``(trace content, predictor, config class)`` is exactly one.

@@ -46,10 +46,12 @@ Lifecycle -- leak-proof by construction:
 The plane also carries *replay-prep slices* (:func:`publish_prep` /
 :func:`attach_prep`): the serialised derived layers of
 :mod:`repro.uarch.replay_vec`, published once by whichever worker
-built them so group followers attach the predictor bits, cache-level
-and BTB tables zero-copy instead of recomputing them.  Prep segments
-live under the same run prefix (tagged ``p``), so the engine's
-run-end sweep reclaims them identically.
+built them so siblings inflate the predictor bits, cache-level and BTB
+tables from the segment instead of recomputing them.  A prep segment
+holds the compressed container verbatim (the same bytes as the disk
+blob), so attaching one inflates it; only trace segments are mapped
+zero-copy.  Prep segments live under the same run prefix (tagged
+``p``), so the engine's run-end sweep reclaims them identically.
 
 ``REPRO_SHM=0`` disables the plane entirely (workers fall back to the
 per-process LRU + disk container path, bit-identically).
@@ -67,6 +69,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..uarch.replay_vec import PREP_MAGIC
 from ..uarch.trace import _COLUMNS, _NP_DTYPES, Trace
 from . import faults
 
@@ -222,11 +225,10 @@ def _publish(prefix: str, key: str, trace: Trace) -> Optional[str]:
 
 
 # ----------------------------------------------------------- prep segments
-
-#: First 8 bytes of a serialised replay-prep slice (the container's
-#: own magic doubles as the segment readiness flag: it is copied into
-#: the segment *last*, same discipline as the trace plane).
-_PREP_MAGIC = b"RPPREP1\x00"
+#
+# A prep segment is one serialised slice.  The container's own magic
+# (``replay_vec.PREP_MAGIC``) doubles as the segment readiness flag: it
+# is copied into the segment *last*, same discipline as the trace plane.
 
 
 def prep_segment_name(prefix: str, key: str) -> str:
@@ -243,7 +245,7 @@ def publish_prep(key: str, blob: bytes) -> Optional[str]:
     when this call created it, ``None`` when the plane is inactive or
     someone else won the create race; never raises."""
     prefix = active_prefix()
-    if prefix is None or len(blob) <= len(_PREP_MAGIC):
+    if prefix is None or len(blob) <= len(PREP_MAGIC):
         return None
     try:
         from multiprocessing import shared_memory
@@ -258,9 +260,9 @@ def publish_prep(key: str, blob: bytes) -> Optional[str]:
         _unregister(shm)
         try:
             buf = shm.buf
-            buf[len(_PREP_MAGIC) : len(blob)] = blob[len(_PREP_MAGIC) :]
+            buf[len(PREP_MAGIC) : len(blob)] = blob[len(PREP_MAGIC) :]
             # Readiness flag last (the container magic itself).
-            buf[: len(_PREP_MAGIC)] = blob[: len(_PREP_MAGIC)]
+            buf[: len(PREP_MAGIC)] = blob[: len(PREP_MAGIC)]
         finally:
             shm.close()
         return name
@@ -272,8 +274,8 @@ def attach_prep(key: str) -> Optional[memoryview]:
     """Map a published prep slice; returns the segment's buffer (the
     serialised container, possibly with page-rounding slack the parser
     ignores) or ``None`` when inactive/absent/not-yet-ready.  The
-    caller's numpy views keep the mapping alive through their ``base``
-    chain, so no explicit backing object is needed."""
+    caller inflates the container into fresh arrays, after which the
+    mapping is released with the last reference to the buffer."""
     prefix = active_prefix()
     if prefix is None:
         return None
@@ -287,7 +289,7 @@ def attach_prep(key: str) -> Optional[memoryview]:
         except (FileNotFoundError, OSError, ValueError):
             return None
         _unregister(shm)
-        if bytes(shm.buf[: len(_PREP_MAGIC)]) != _PREP_MAGIC:
+        if bytes(shm.buf[: len(PREP_MAGIC)]) != PREP_MAGIC:
             _close_quietly(shm)
             return None  # mid-publish: not ready yet
         return _disarm(shm)

@@ -22,6 +22,29 @@ from typing import List, Optional
 from .cache import Cache
 
 
+#: The cache levels, by field prefix; each is ``<prefix>_bytes`` split
+#: into ``<prefix>_assoc`` ways of ``line_bytes`` lines.
+_LEVELS = ("l1d", "l1i", "l2", "l3")
+
+#: Smallest legal value of each checked field.  A zero size, way count
+#: or line divides by zero in :class:`Cache`, an empty miss buffer
+#: indexes an empty heap, and a negative latency would time a hit
+#: before its access.
+_FIELD_MINIMUMS = {
+    **{
+        f"{level}_{part}": 1
+        for level in _LEVELS
+        for part in ("bytes", "assoc")
+    },
+    "line_bytes": 1,
+    "miss_buffer_entries": 1,
+    "l1_latency": 0,
+    "l2_latency": 0,
+    "l3_latency": 0,
+    "dram_latency": 0,
+}
+
+
 @dataclass
 class HierarchyConfig:
     l1d_bytes: int = 32 * 1024
@@ -42,6 +65,24 @@ class HierarchyConfig:
     #: behave as they would on real hardware (stride-17 cold walks in the
     #: workloads deliberately defeat it).
     next_line_prefetch: bool = True
+
+    def __post_init__(self) -> None:
+        for name, minimum in _FIELD_MINIMUMS.items():
+            value = getattr(self, name)
+            if value < minimum:
+                raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        line = self.line_bytes
+        if line & (line - 1):
+            # Cache derives its line shift from the bit length.
+            raise ValueError(f"line_bytes must be a power of two, got {line}")
+        for level in _LEVELS:
+            size = getattr(self, f"{level}_bytes")
+            assoc = getattr(self, f"{level}_assoc")
+            if size % (assoc * line):
+                raise ValueError(
+                    f"{level}_bytes {size} is not a multiple of "
+                    f"{level}_assoc * line_bytes ({assoc} * {line})"
+                )
 
 
 class MemoryHierarchy:

@@ -77,6 +77,5 @@ class MachineConfig:
         """Variant with a different L1-I capacity (Section 6.1 sweep)."""
         from dataclasses import replace
 
-        hierarchy = HierarchyConfig(**vars(self.hierarchy))
-        hierarchy.l1i_bytes = size_bytes
+        hierarchy = replace(self.hierarchy, l1i_bytes=size_bytes)
         return replace(self, hierarchy=hierarchy)

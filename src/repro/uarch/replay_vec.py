@@ -51,8 +51,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import struct
-import sys
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -74,7 +72,13 @@ from .config import MachineConfig
 from .core import _RING, _RING_MASK
 from .ooo import _RING as _OOO_RING, _RING_MASK as _OOO_RING_MASK
 from .stats import SimStats
-from .trace import Trace, predictor_id
+from .trace import (
+    ContainerError,
+    Trace,
+    pack_columns,
+    predictor_id,
+    unpack_columns,
+)
 
 #: Why a kernel may decline a replay (``ReplayDeclined.reason``).
 DECLINE_REASONS = (
@@ -761,9 +765,12 @@ def _prepare(program, trace: Trace, config: MachineConfig, recorded: bool,
 #: Bump when the prep container layout, the layer contents, or the
 #: slice keying changes: the key hashes the schema, so every persisted
 #: slice of an older version simply stops matching and is rebuilt.
-PREP_SCHEMA = 1
+PREP_SCHEMA = 2
 
-_PREP_MAGIC = b"RPPREP1\x00"
+#: First bytes of a serialised slice (a container of the shared column
+#: codec, :func:`repro.uarch.trace.pack_columns`).  The shared-memory
+#: plane copies it into a prep segment last, as its readiness flag.
+PREP_MAGIC = b"RPPREP2\x00"
 
 #: Array payloads of one slice, in canonical container order.  The
 #: ``pred_bits`` column is present only for live-predictor slices (a
@@ -854,10 +861,6 @@ def prep_slice_key(
     ).hexdigest()
 
 
-def _align8(offset: int) -> int:
-    return (offset + 7) & ~7
-
-
 def _slice_keys(trace: Trace, config: MachineConfig):
     """(mode_key, stream_key, mem_key, btb keys) for one config, or
     ``None`` -- the in-process dict keys a slice plants layers under."""
@@ -929,26 +932,22 @@ def build_prep_slice(
     ooo_events, ooo_bits, ooo_misses = prep.btbs[btb_ooo]
 
     arrays: Dict[str, np.ndarray] = {
-        "ras_bits": np.ascontiguousarray(
-            prep.ras_bits[config.ras_entries]
-        ),
+        "ras_bits": np.asarray(prep.ras_bits[config.ras_entries]),
         "act": stream["act_np"],
-        "acc_pos": np.ascontiguousarray(stream["acc_pos"], np.int64),
-        "acc_prev_misp": np.ascontiguousarray(stream["acc_prev_misp"]),
+        "acc_pos": np.asarray(stream["acc_pos"], np.int64),
+        "acc_prev_misp": np.asarray(stream["acc_prev_misp"]),
         "fetch_add": np.asarray(mem["fetch_add"], np.int64),
-        "load_lat": np.ascontiguousarray(mem["load_lat_np"], np.int64),
-        "load_miss": np.ascontiguousarray(mem["load_miss_np"]),
-        "store_lat": np.ascontiguousarray(mem["store_lat_np"], np.int64),
-        "store_miss": np.ascontiguousarray(mem["store_miss_np"]),
-        "btb_io_events": np.ascontiguousarray(io_events, np.int64),
-        "btb_io_bits": np.ascontiguousarray(io_bits),
-        "btb_ooo_events": np.ascontiguousarray(ooo_events, np.int64),
-        "btb_ooo_bits": np.ascontiguousarray(ooo_bits),
+        "load_lat": np.asarray(mem["load_lat_np"], np.int64),
+        "load_miss": np.asarray(mem["load_miss_np"]),
+        "store_lat": np.asarray(mem["store_lat_np"], np.int64),
+        "store_miss": np.asarray(mem["store_miss_np"]),
+        "btb_io_events": np.asarray(io_events, np.int64),
+        "btb_io_bits": np.asarray(io_bits),
+        "btb_ooo_events": np.asarray(ooo_events, np.int64),
+        "btb_ooo_bits": np.asarray(ooo_bits),
     }
     if not recorded:
-        arrays["pred_bits"] = np.ascontiguousarray(
-            prep.pred_bits[mode], np.uint8
-        )
+        arrays["pred_bits"] = np.asarray(prep.pred_bits[mode], np.uint8)
     counters = {
         "cond_mispredicts": stream["cond_mispredicts"],
         "resolve_mispredicts": stream["resolve_mispredicts"],
@@ -961,103 +960,17 @@ def build_prep_slice(
         "btb_ooo_misses": ooo_misses,
     }
 
-    descriptors: List[Dict] = []
-    payloads: List[np.ndarray] = []
-    body = 0
-    for name in _PREP_ARRAYS:
-        arr = arrays.get(name)
-        if arr is None:
-            continue
-        body = _align8(body)
-        descriptors.append(
-            {
-                "name": name,
-                "dtype": arr.dtype.str,
-                "count": int(arr.size),
-                "offset": body,
-                "nbytes": int(arr.nbytes),
-            }
-        )
-        payloads.append(arr)
-        body += arr.nbytes
-    header = json.dumps(
+    return pack_columns(
+        PREP_MAGIC,
         {
             "schema": PREP_SCHEMA,
-            "byteorder": sys.byteorder,
             "trace": trace.content_digest(),
             "mode": list(mode) if isinstance(mode, tuple) else mode,
             "config": list(prep_config_class(config)),
             "counters": counters,
-            "arrays": descriptors,
         },
-        sort_keys=True,
-    ).encode()
-    data_start = _align8(len(_PREP_MAGIC) + 4 + len(header))
-    out = bytearray(data_start + body)
-    out[: len(_PREP_MAGIC)] = _PREP_MAGIC
-    struct.pack_into("<I", out, len(_PREP_MAGIC), len(header))
-    out[len(_PREP_MAGIC) + 4 : len(_PREP_MAGIC) + 4 + len(header)] = header
-    for descriptor, arr in zip(descriptors, payloads):
-        offset = data_start + descriptor["offset"]
-        out[offset : offset + arr.nbytes] = arr.tobytes()
-    return bytes(out)
-
-
-class PrepSliceError(Exception):
-    """A prep container failed validation (corrupt or mismatched)."""
-
-
-def _parse_prep_container(buf) -> Tuple[Dict, Dict[str, np.ndarray]]:
-    """(header, name -> zero-copy array view) of one container.
-
-    ``buf`` may be ``bytes`` (a verified disk blob) or a memoryview
-    over a shared-memory segment; either way the returned arrays view
-    the buffer without copying.  Raises :class:`PrepSliceError` on any
-    structural problem."""
-    if len(buf) < len(_PREP_MAGIC) + 4:
-        raise PrepSliceError("truncated container")
-    if bytes(buf[: len(_PREP_MAGIC)]) != _PREP_MAGIC:
-        raise PrepSliceError("bad magic")
-    (header_len,) = struct.unpack_from("<I", buf, len(_PREP_MAGIC))
-    start = len(_PREP_MAGIC) + 4
-    if start + header_len > len(buf):
-        raise PrepSliceError("truncated header")
-    try:
-        header = json.loads(bytes(buf[start : start + header_len]))
-    except ValueError as exc:
-        raise PrepSliceError(f"unreadable header: {exc}") from None
-    if not isinstance(header, dict) or header.get("schema") != PREP_SCHEMA:
-        raise PrepSliceError(f"wrong schema: {header.get('schema')!r}")
-    if header.get("byteorder") != sys.byteorder:
-        raise PrepSliceError("foreign byte order")
-    descriptors = header.get("arrays")
-    counters = header.get("counters")
-    if not isinstance(descriptors, list) or not isinstance(counters, dict):
-        raise PrepSliceError("malformed header")
-    data_start = _align8(start + header_len)
-    arrays: Dict[str, np.ndarray] = {}
-    for descriptor in descriptors:
-        try:
-            name = descriptor["name"]
-            offset = data_start + descriptor["offset"]
-            if offset + descriptor["nbytes"] > len(buf):
-                raise PrepSliceError(f"truncated column {name!r}")
-            arrays[name] = np.frombuffer(
-                buf,
-                dtype=np.dtype(descriptor["dtype"]),
-                count=descriptor["count"],
-                offset=offset,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PrepSliceError(f"bad descriptor: {exc}") from None
-    missing = [
-        name
-        for name in _PREP_ARRAYS
-        if name != "pred_bits" and name not in arrays
-    ]
-    if missing:
-        raise PrepSliceError(f"missing columns: {missing}")
-    return header, arrays
+        [(name, arrays[name]) for name in _PREP_ARRAYS if name in arrays],
+    )
 
 
 def attach_prep_slice(
@@ -1068,17 +981,22 @@ def attach_prep_slice(
     Validates the container *and* its key fields against what this
     (program, trace, config) would compute -- a slice for a different
     trace digest, mode, or config class is rejected (``False``), as is
-    any structural corruption, and the caller rebuilds from scratch.
-    The planted arrays are zero-copy views over ``buf``; prep layers
-    are read-only to the kernels, so a shared-memory buffer may back
-    any number of attached traces at once."""
+    any structural corruption or old container layout, and the caller
+    rebuilds from scratch.  ``buf`` may be ``bytes`` (a verified disk
+    blob) or a memoryview over a shared-memory segment: the columns are
+    inflated into fresh arrays, so nothing planted keeps ``buf``
+    alive."""
     keys = _slice_keys(trace, config)
     if keys is None:
         return False
     mode, stream_key, mem_key, btb_io, btb_ooo = keys
     try:
-        header, arrays = _parse_prep_container(buf)
-    except PrepSliceError:
+        header, arrays = unpack_columns(PREP_MAGIC, buf)
+    except ContainerError:
+        return False
+    if header.get("schema") != PREP_SCHEMA or any(
+        name not in arrays for name in _PREP_ARRAYS if name != "pred_bits"
+    ):
         return False
     expected_mode = list(mode) if isinstance(mode, tuple) else mode
     if (

@@ -64,9 +64,9 @@ import numpy as np
 from ..isa.decode import K_PREDICT, K_RESOLVE, predecode
 
 #: Bump when the trace container layout or column semantics change.
-TRACE_SCHEMA = 1
+TRACE_SCHEMA = 2
 
-_MAGIC = b"RVTRACE1"
+_MAGIC = b"RVTRACE2"
 
 #: Cache artifacts trade a little disk for a lot of CPU: level 1 is
 #: ~3x faster to compress than the default with ~20% larger output,
@@ -85,6 +85,11 @@ _COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("store_addrs", "q"),
     ("ret_targets", "i"),
 )
+
+
+class ContainerError(Exception):
+    """A column container failed validation (corrupt, truncated,
+    malformed or foreign)."""
 
 
 class TraceError(Exception):
@@ -414,44 +419,13 @@ class Trace:
     # -------------------------------------------------------- serialisation
 
     def to_bytes(self) -> bytes:
-        """Binary container: magic, compressed JSON header (meta plus
-        per-column descriptors with checksums), then the compressed
-        column payloads in canonical order."""
-        payloads: List[bytes] = []
-        descriptors: List[Dict] = []
-        for name, typecode in _COLUMNS:
-            column = getattr(self, name)
-            if typecode == "bits":
-                raw = _pack_bits(column)
-                count = len(column)
-            else:
-                raw = column.tobytes()
-                count = len(column)
-            blob = zlib.compress(raw, _ZLIB_LEVEL)
-            payloads.append(blob)
-            descriptors.append(
-                {
-                    "name": name,
-                    "type": typecode,
-                    "count": count,
-                    "zlen": len(blob),
-                    "sha256": hashlib.sha256(blob).hexdigest(),
-                }
-            )
-        header = zlib.compress(
-            json.dumps(
-                {
-                    "schema": TRACE_SCHEMA,
-                    "byteorder": sys.byteorder,
-                    "meta": self.meta,
-                    "columns": descriptors,
-                },
-                sort_keys=True,
-            ).encode(),
-            _ZLIB_LEVEL,
-        )
-        return b"".join(
-            [_MAGIC, struct.pack("<I", len(header)), header] + payloads
+        """Binary container (:func:`pack_columns`): the trace magic, the
+        schema and ``meta`` in the header, then every column in
+        canonical order."""
+        return pack_columns(
+            _MAGIC,
+            {"schema": TRACE_SCHEMA, "meta": self.meta},
+            [(name, self.column(name)) for name, _ in _COLUMNS],
         )
 
     @classmethod
@@ -459,72 +433,176 @@ class Trace:
         """Parse and *validate* a container; raises :class:`TraceError`
         on any corruption (bad magic/schema, truncation, checksum or
         count mismatch) so callers can quarantine the file."""
-        if len(blob) < len(_MAGIC) + 4 or blob[: len(_MAGIC)] != _MAGIC:
-            raise TraceError("bad magic")
-        offset = len(_MAGIC)
-        (header_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        if offset + header_len > len(blob):
-            raise TraceError("truncated header")
         try:
-            header = json.loads(
-                zlib.decompress(blob[offset : offset + header_len])
-            )
-        except (ValueError, zlib.error) as exc:
-            raise TraceError(f"unreadable header: {exc}") from None
-        offset += header_len
-        if not isinstance(header, dict) or header.get("schema") != TRACE_SCHEMA:
+            header, arrays = unpack_columns(_MAGIC, blob)
+        except ContainerError as exc:
+            raise TraceError(str(exc)) from None
+        if header.get("schema") != TRACE_SCHEMA:
             raise TraceError(f"wrong schema: {header.get('schema')!r}")
-        if header.get("byteorder") != sys.byteorder:
-            raise TraceError("foreign byte order")
         meta = header.get("meta")
-        descriptors = header.get("columns")
-        if not isinstance(meta, dict) or not isinstance(descriptors, list):
+        if not isinstance(meta, dict):
             raise TraceError("malformed header")
-        if [(d.get("name"), d.get("type")) for d in descriptors] != list(
-            _COLUMNS
-        ):
+        if list(arrays) != [name for name, _ in _COLUMNS]:
             raise TraceError("unexpected column set")
         columns = {}
-        for descriptor in descriptors:
-            name = descriptor["name"]
-            typecode = descriptor["type"]
-            zlen = descriptor["zlen"]
-            chunk = blob[offset : offset + zlen]
-            if len(chunk) != zlen:
-                raise TraceError(f"truncated column {name!r}")
-            if hashlib.sha256(chunk).hexdigest() != descriptor["sha256"]:
-                raise TraceError(f"checksum mismatch in column {name!r}")
-            offset += zlen
-            try:
-                raw = zlib.decompress(chunk)
-            except zlib.error as exc:
-                raise TraceError(
-                    f"undecompressable column {name!r}: {exc}"
-                ) from None
+        for name, typecode in _COLUMNS:
+            values = arrays[name]
+            if values.dtype != _NP_DTYPES[typecode]:
+                raise TraceError(f"unexpected dtype in column {name!r}")
             if typecode == "bits":
-                column = _unpack_bits(raw, descriptor["count"])
+                columns[name] = bytearray(values)
             else:
-                column = array(typecode)
-                column.frombytes(raw)
-            if len(column) != descriptor["count"]:
-                raise TraceError(f"count mismatch in column {name!r}")
-            columns[name] = column
+                columns[name] = array(typecode)
+                columns[name].frombytes(values.tobytes())
         if len(columns["pcs"]) != meta.get("committed"):
             raise TraceError("committed count disagrees with pcs column")
         return cls(meta, **columns)
 
 
-def _pack_bits(bits) -> bytes:
-    """Pack a 0/1-per-byte column into 8 bits per byte (LSB first).
-    Accepts a ``bytearray`` or an already-viewed uint8 ndarray."""
-    flags = np.asarray(bits, dtype=np.uint8)
-    return np.packbits(flags, bitorder="little").tobytes()
+# ------------------------------------------------------------ column codec
+#
+# One container format serves every persisted column set (traces here,
+# replay-prep slices in :mod:`repro.uarch.replay_vec`):
+#
+#     magic (8 bytes) | header length (uint32 LE) | zlib(JSON header)
+#     | one zlib payload per column, in header order
+#
+# The header is the caller's fields plus ``byteorder`` and one
+# descriptor per column: ``name``, the declared ``dtype`` it decodes
+# to, the stored encoding ``enc``, ``count``, ``zlen`` and the
+# ``sha256`` of the compressed payload.  Integer columns are stored in
+# the narrowest encoding that holds their range -- packed bits for 0/1
+# data, else the smallest (u)int dtype -- and widened back on read.
+
+#: Candidate storage dtypes, narrowest first (unsigned before signed
+#: at each width, so non-negative data takes the unsigned one).
+_NARROW_DTYPES = tuple(
+    np.dtype(t)
+    for t in (
+        np.uint8, np.int8, np.uint16, np.int16,
+        np.uint32, np.int32, np.uint64, np.int64,
+    )
+)
 
 
-def _unpack_bits(raw: bytes, count: int) -> bytearray:
-    if len(raw) != (count + 7) >> 3:
-        raise TraceError("bit column length mismatch")
-    packed = np.frombuffer(raw, dtype=np.uint8)
-    flags = np.unpackbits(packed, count=count, bitorder="little")
-    return bytearray(flags.tobytes())
+def _narrowest(values: np.ndarray) -> str:
+    """Storage encoding of one integer column: ``"bits"`` for 0/1 data
+    (and empty columns), else the ``dtype.str`` of the narrowest
+    integer dtype holding its range."""
+    if not values.size:
+        return "bits"
+    low, high = int(values.min()), int(values.max())
+    if low >= 0 and high <= 1:
+        return "bits"
+    for dtype in _NARROW_DTYPES:
+        info = np.iinfo(dtype)
+        if info.min <= low and high <= info.max:
+            return dtype.str
+    raise ValueError(f"no integer dtype holds [{low}, {high}]")
+
+
+def pack_columns(magic: bytes, header: Dict, columns) -> bytes:
+    """Serialise 1-D integer/bool numpy ``columns`` (``(name, array)``
+    pairs) and the JSON-able ``header`` fields behind ``magic``."""
+    payloads: List[bytes] = []
+    descriptors: List[Dict] = []
+    for name, values in columns:
+        if values.ndim != 1 or values.dtype.kind not in "biu":
+            raise ValueError(f"column {name!r} is not a 1-D integer array")
+        enc = _narrowest(values)
+        if enc == "bits":
+            raw = np.packbits(values, bitorder="little").tobytes()
+        else:
+            raw = values.astype(enc, copy=False).tobytes()
+        blob = zlib.compress(raw, _ZLIB_LEVEL)
+        payloads.append(blob)
+        descriptors.append(
+            {
+                "name": name,
+                "dtype": values.dtype.str,
+                "enc": enc,
+                "count": int(values.size),
+                "zlen": len(blob),
+                "sha256": hashlib.sha256(blob).hexdigest(),
+            }
+        )
+    head = zlib.compress(
+        json.dumps(
+            dict(header, byteorder=sys.byteorder, columns=descriptors),
+            sort_keys=True,
+        ).encode(),
+        _ZLIB_LEVEL,
+    )
+    return b"".join([magic, struct.pack("<I", len(head)), head] + payloads)
+
+
+def _integer_dtype(spec) -> np.dtype:
+    dtype = np.dtype(spec)
+    if dtype.kind not in "biu":
+        raise ValueError(f"not an integer dtype: {spec!r}")
+    return dtype
+
+
+def unpack_columns(magic: bytes, blob) -> Tuple[Dict, Dict[str, np.ndarray]]:
+    """``(header, name -> column)`` of a :func:`pack_columns` container.
+
+    ``blob`` is any bytes-like object (a memoryview over shared memory
+    included); every returned column is a fresh array of its declared
+    dtype, so nothing keeps ``blob`` alive.  Raises
+    :class:`ContainerError` on a wrong magic, truncation, a checksum or
+    length mismatch, or a malformed header -- never returns a partial
+    column set.  Bytes past the last payload are ignored."""
+    start = len(magic) + 4
+    if len(blob) < start or bytes(blob[: len(magic)]) != magic:
+        raise ContainerError("bad magic")
+    (header_len,) = struct.unpack_from("<I", blob, len(magic))
+    offset = start + header_len
+    if offset > len(blob):
+        raise ContainerError("truncated header")
+    try:
+        header = json.loads(zlib.decompress(blob[start:offset]))
+    except (ValueError, zlib.error) as exc:
+        raise ContainerError(f"unreadable header: {exc}") from None
+    if not isinstance(header, dict) or not isinstance(
+        header.get("columns"), list
+    ):
+        raise ContainerError("malformed header")
+    if header.get("byteorder") != sys.byteorder:
+        raise ContainerError("foreign byte order")
+    columns: Dict[str, np.ndarray] = {}
+    for descriptor in header["columns"]:
+        try:
+            name = descriptor["name"]
+            dtype = _integer_dtype(descriptor["dtype"])
+            enc = descriptor["enc"]
+            stored = None if enc == "bits" else _integer_dtype(enc)
+            count = int(descriptor["count"])
+            zlen = int(descriptor["zlen"])
+            digest = descriptor["sha256"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ContainerError(f"bad descriptor: {exc}") from None
+        chunk = blob[offset : offset + zlen]
+        if zlen < 0 or len(chunk) != zlen:
+            raise ContainerError(f"truncated column {name!r}")
+        if hashlib.sha256(chunk).hexdigest() != digest:
+            raise ContainerError(f"checksum mismatch in column {name!r}")
+        offset += zlen
+        try:
+            raw = zlib.decompress(chunk)
+        except zlib.error as exc:
+            raise ContainerError(
+                f"undecompressable column {name!r}: {exc}"
+            ) from None
+        expected = (count + 7) >> 3 if stored is None else (
+            count * stored.itemsize
+        )
+        if count < 0 or len(raw) != expected:
+            raise ContainerError(f"count mismatch in column {name!r}")
+        if stored is None:
+            values = np.unpackbits(
+                np.frombuffer(raw, np.uint8), count=count, bitorder="little"
+            )
+        else:
+            values = np.frombuffer(raw, stored)
+        columns[name] = values.astype(dtype)
+    return header, columns

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import os
+import struct
+import sys
 
 import pytest
 
@@ -21,6 +24,7 @@ from repro.experiments import RunConfig, cachectl, plane
 from repro.experiments.artifacts import ArtifactStore
 from repro.experiments.harness import prepare_benchmark
 from repro.uarch import InOrderCore, OutOfOrderCore, replay_vec
+from repro.uarch.trace import unpack_columns
 
 
 @pytest.fixture
@@ -142,6 +146,22 @@ class TestPrepPersistence:
         assert vec_io.stats == ref_io.stats
         assert vec_ooo.cycles == ref_ooo.cycles
         assert vec_ooo.stats == ref_ooo.stats
+
+
+    def test_persisted_slice_is_compressed(self, store, tmp_path):
+        """Ratchet on the container: a persisted slice is at most an
+        eighth of the column bytes it decodes to, so a silent return
+        to raw column storage fails here."""
+        config, baseline, _ = _quick_programs()
+        machine = config.machine_for(4)
+        store.simulate_inorder(
+            baseline, machine, max_instructions=config.max_instructions
+        )
+        (path,) = _prep_files(tmp_path)
+        blob = path.read_bytes()
+        _, arrays = unpack_columns(replay_vec.PREP_MAGIC, blob)
+        decoded = sum(column.nbytes for column in arrays.values())
+        assert len(blob) * 8 <= decoded
 
 
 class TestPrepInvalidation:
@@ -328,6 +348,74 @@ class TestPrepIntegrity:
         assert delta.get("prep_builds") == 1
         assert result.cycles == second.cycles
         assert result.stats == second.stats
+
+
+    def test_old_layout_is_quarantined_and_rebuilt(
+        self, store, tmp_path
+    ):
+        """A slice in the retired ``RPPREP1`` layout (JSON header, then
+        raw 8-byte-aligned columns) planted under the current key, with
+        a matching sidecar and current key fields, is never misread:
+        it is quarantined and rebuilt."""
+        config, baseline, machine, result, blob_path = self._seed(
+            store, tmp_path
+        )
+        header, arrays = unpack_columns(
+            replay_vec.PREP_MAGIC, blob_path.read_bytes()
+        )
+        old = _rpprep1_layout(header, arrays)
+        blob_path.write_bytes(old)
+        sidecar = blob_path.parent / (blob_path.name + ".sum")
+        sidecar.write_text(hashlib.sha256(old).hexdigest())
+        fresh = ArtifactStore(cache_dir=tmp_path)
+        mark = fresh.mark()
+        second = fresh.simulate_inorder(
+            baseline, machine, max_instructions=config.max_instructions
+        )
+        delta = fresh.delta(mark)
+        assert delta.get("prep_quarantined") == 1
+        assert delta.get("prep_builds") == 1
+        assert result.cycles == second.cycles
+        assert result.stats == second.stats
+        (rebuilt,) = _prep_files(tmp_path)
+        assert rebuilt.read_bytes().startswith(replay_vec.PREP_MAGIC)
+
+
+def _rpprep1_layout(header, arrays) -> bytes:
+    """The prep container as the ``RPPREP1`` writer laid it out."""
+    descriptors, body = [], 0
+    for name, column in arrays.items():
+        body = (body + 7) & ~7
+        descriptors.append(
+            {
+                "name": name,
+                "dtype": column.dtype.str,
+                "count": int(column.size),
+                "offset": body,
+                "nbytes": int(column.nbytes),
+            }
+        )
+        body += column.nbytes
+    fields = {k: header[k] for k in ("schema", "trace", "mode", "config")}
+    head = json.dumps(
+        dict(
+            fields,
+            byteorder=sys.byteorder,
+            counters=header["counters"],
+            arrays=descriptors,
+        ),
+        sort_keys=True,
+    ).encode()
+    magic = b"RPPREP1\x00"
+    start = (len(magic) + 4 + len(head) + 7) & ~7
+    out = bytearray(start + body)
+    out[: len(magic)] = magic
+    struct.pack_into("<I", out, len(magic), len(head))
+    out[len(magic) + 4 : len(magic) + 4 + len(head)] = head
+    for descriptor, column in zip(descriptors, arrays.values()):
+        offset = start + descriptor["offset"]
+        out[offset : offset + column.nbytes] = column.tobytes()
+    return bytes(out)
 
 
 @pytest.mark.skipif(

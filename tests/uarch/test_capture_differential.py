@@ -5,8 +5,10 @@ Every simulation the experiment layer runs is a replay of a trace the
 timing-free functional pass captured (:func:`repro.uarch.capture_trace`).
 The golden suite pins that at the paper's machine; here Hypothesis
 draws the rest of the space -- width, ports, fetch buffer, front-end
-depth, bubbles, BTB/RAS/DBB sizes and a predictor-ladder rung -- for
-baseline and decomposed programs, and each draw must agree with the
+depth, bubbles, BTB/RAS/DBB sizes, cache geometry and a
+predictor-ladder rung -- for baseline and decomposed programs, the
+cache-geometry draws replaying through the persisted trace and prep
+containers, and each draw must agree with the
 execute-driven oracle on the full ``SimStats``, registers, memory image
 and suppressed-fault count.  Targeted cases cover the two places the
 functional pass could drift from the timing core's view: speculative
@@ -29,6 +31,7 @@ from repro.compiler import (
 )
 from repro.ir import FunctionBuilder, lower
 from repro.isa.decode import K_CALL, K_RET, predecode
+from repro.memory import HierarchyConfig
 from repro.uarch import (
     InOrderCore,
     MachineConfig,
@@ -37,6 +40,7 @@ from repro.uarch import (
     capture_trace,
     functional,
     replay_inorder,
+    replay_vec,
 )
 from repro.workloads import spec_benchmark
 
@@ -108,6 +112,71 @@ machine_configs = st.builds(
 def test_capture_replay_equals_core(config, name, kind):
     program = _workload(name)[kind]
     _, replayed = _capture_and_replay(program, config)
+    executed = InOrderCore(config).run(program, max_instructions=_BUDGET)
+    _assert_same(replayed, executed)
+
+
+@st.composite
+def hierarchy_configs(draw):
+    """Valid cache geometry: each level a drawn set count (not only
+    powers of two -- indexing is by modulo) times a drawn way count of
+    drawn-size lines, down to one-set caches, and latencies up to a
+    400-cycle DRAM, so the persisted latency columns cross the 8-bit
+    narrowing boundary."""
+    line = draw(_pow2(3, 7))
+
+    def level():
+        assoc = draw(_pow2(0, 4))
+        return draw(st.integers(1, 32)) * assoc * line, assoc
+
+    l1d_bytes, l1d_assoc = level()
+    l1i_bytes, l1i_assoc = level()
+    l2_bytes, l2_assoc = level()
+    l3_bytes, l3_assoc = level()
+    return HierarchyConfig(
+        l1d_bytes=l1d_bytes,
+        l1d_assoc=l1d_assoc,
+        l1i_bytes=l1i_bytes,
+        l1i_assoc=l1i_assoc,
+        l2_bytes=l2_bytes,
+        l2_assoc=l2_assoc,
+        l3_bytes=l3_bytes,
+        l3_assoc=l3_assoc,
+        line_bytes=line,
+        l1_latency=draw(st.integers(0, 8)),
+        l2_latency=draw(st.integers(0, 60)),
+        l3_latency=draw(st.integers(0, 200)),
+        dram_latency=draw(st.integers(0, 400)),
+        miss_buffer_entries=draw(st.integers(1, 64)),
+        next_line_prefetch=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    hierarchy=hierarchy_configs(),
+    predictor=st.sampled_from(PREDICTOR_LADDER),
+    name=st.sampled_from(("bzip2", "mcf", "ammp00")),
+    kind=st.sampled_from(("baseline", "decomposed")),
+)
+def test_persisted_prep_replay_equals_core(hierarchy, predictor, name, kind):
+    """Cache geometry as a drawn axis, replayed through the persisted
+    containers: the trace and its prep slice are serialised, and the
+    slice is attached to a freshly decoded trace before replay, so
+    every prep column takes the narrow-store/widen-back round trip."""
+    program = _workload(name)[kind]
+    config = MachineConfig(
+        hierarchy=hierarchy, predictor_factory=predictor
+    )
+    blob = capture_trace(program, predictor, _BUDGET).to_bytes()
+    slice_blob = replay_vec.build_prep_slice(
+        program, Trace.from_bytes(blob), config
+    )
+    assert slice_blob is not None
+    trace = Trace.from_bytes(blob)
+    assert replay_vec.attach_prep_slice(program, trace, config, slice_blob)
+    assert replay_vec.prep_slice_ready(program, trace, config)
+    replayed = replay_inorder(program, trace, config)
     executed = InOrderCore(config).run(program, max_instructions=_BUDGET)
     _assert_same(replayed, executed)
 

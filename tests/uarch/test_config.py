@@ -3,6 +3,7 @@
 import pytest
 
 from repro.branchpred import HybridPredictor, TagePredictor
+from repro.memory import HierarchyConfig
 from repro.uarch import MachineConfig, OutOfOrderCore, replay_ooo
 
 
@@ -52,9 +53,10 @@ class TestTable1:
 
 
 class TestDegenerateConfigs:
-    """Zero ports would spin both cores' issue search forever and a
+    """Zero ports would spin both cores' issue search forever, a
     zero-sized fetch buffer, BTB or OOO window would index an empty
-    table, so construction rejects them, naming the field."""
+    table, and degenerate cache geometry breaks ``Cache``, so
+    construction rejects them, naming the field."""
 
     @pytest.mark.parametrize(
         "field, value",
@@ -79,6 +81,33 @@ class TestDegenerateConfigs:
     )
     def test_zero_depth_and_bubbles_allowed(self, field):
         assert getattr(MachineConfig(**{field: 0}), field) == 0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("miss_buffer_entries", 0),
+            ("l1d_assoc", 0),
+            ("l1d_bytes", 0),
+            ("l3_assoc", -1),
+            ("line_bytes", 0),
+            ("line_bytes", 48),
+            ("l2_bytes", 1000),
+            ("l1i_bytes", 24 * 1024 + 64),
+            ("l1_latency", -1),
+            ("l2_latency", -5),
+            ("dram_latency", -1),
+        ],
+    )
+    def test_hierarchy_field_rejected_by_name(self, field, value):
+        """A zero way count or size divided by zero in ``Cache``, an
+        empty miss buffer raised ``IndexError`` mid-run, and a negative
+        latency simulated silently."""
+        with pytest.raises(ValueError, match=field):
+            HierarchyConfig(**{field: value})
+
+    def test_icache_variant_is_validated(self):
+        with pytest.raises(ValueError, match="l1i_bytes"):
+            MachineConfig.paper_default().with_icache_bytes(1000)
 
     def test_ooo_window_rejected(self):
         with pytest.raises(ValueError, match="window"):
