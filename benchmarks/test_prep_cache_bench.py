@@ -14,10 +14,11 @@ Two layers:
 * pytest-benchmark micros of one cold-store sweep point under a live
   (non-recorded) predictor -- prep cache off vs warm;
 * a snapshot (``results/BENCH_prep_cache.json``) of the full
-  multi-predictor sweep across a chain of fresh stores, gated at the
-  ISSUE's >= 1.3x, with the store counters proving the fleet-wide
-  build count is exactly one per (trace, predictor, config class)
-  and the results bit-identical either way.
+  multi-predictor sweep across a chain of fresh stores, gated at
+  >= 1.3x on the median of seven interleaved cold/warm pairs, with
+  the store counters proving the fleet-wide build count is exactly
+  one per (trace, predictor, config class) and the results
+  bit-identical either way.
 
 Correctness (invalidation, quarantine, shm attach, scalar-oracle
 equality) is pinned by ``tests/integration/test_prep_artifacts.py``.
@@ -25,6 +26,7 @@ equality) is pinned by ``tests/integration/test_prep_artifacts.py``.
 
 import json
 import pathlib
+import statistics
 import time
 
 from repro.branchpred import (
@@ -115,19 +117,24 @@ def test_point_replay_prep_warm(benchmark, tmp_path, monkeypatch):
     assert result.cycles > 0
 
 
-def _best_of(fn, reps=3):
-    best, out = float("inf"), None
-    for _ in range(reps):
-        start = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, out
+#: Interleaved cold/warm sweep pairs the snapshot gates the median of.
+_PAIRS = 7
+
+#: The warm-over-cold sweep speedup the snapshot must hold.
+_GATE = 1.3
+
+
+def _timed(fn):
+    start = time.perf_counter()
+    out = fn()
+    return time.perf_counter() - start, out
 
 
 def test_prep_cache_snapshot(tmp_path, monkeypatch):
     """Archive cold vs warm multi-predictor sweep walls in
-    ``results/BENCH_prep_cache.json``, hold warm to the >= 1.3x
-    target, and prove one build per (trace, predictor) fleet-wide."""
+    ``results/BENCH_prep_cache.json``, hold the median warm-over-cold
+    ratio of interleaved pairs to the >= 1.3x target, and prove one
+    build per (trace, predictor) fleet-wide."""
     monkeypatch.setenv("REPRO_SHM", "0")
     monkeypatch.delenv(plane.PREFIX_ENV, raising=False)
     monkeypatch.delenv("REPRO_PREP_CACHE", raising=False)
@@ -154,18 +161,26 @@ def test_prep_cache_snapshot(tmp_path, monkeypatch):
     assert build_totals.get("prep_builds") == len(machines) - 1
     assert build_totals.get("prep_hits") == 1
 
-    # Warm pass(es): the whole fleet reuses those builds forever.
-    warm_wall, (warm_results, warm_totals) = _best_of(sweep)
-    assert "prep_builds" not in warm_totals
-    assert "prep_misses" not in warm_totals
-    assert warm_totals.get("prep_hits") == len(machines)
-
-    monkeypatch.setenv("REPRO_PREP_CACHE", "0")
-    cold_wall, (cold_results, cold_totals) = _best_of(sweep)
-    assert not any(
-        name.startswith("prep_") for name in cold_totals
-    )
-    monkeypatch.delenv("REPRO_PREP_CACHE", raising=False)
+    # Timed pairs, cold and warm interleaved so that drift in the
+    # machine's speed lands on both sides; each sweep is only a few
+    # tenths of a second, so one pair is noise and the gate reads the
+    # median of the per-pair ratios.
+    cold_walls, warm_walls = [], []
+    for _ in range(_PAIRS):
+        monkeypatch.setenv("REPRO_PREP_CACHE", "0")
+        cold_wall, (cold_results, cold_totals) = _timed(sweep)
+        monkeypatch.delenv("REPRO_PREP_CACHE", raising=False)
+        assert not any(
+            name.startswith("prep_") for name in cold_totals
+        )
+        # The whole fleet reuses the build pass's slices forever.
+        warm_wall, (warm_results, warm_totals) = _timed(sweep)
+        assert "prep_builds" not in warm_totals
+        assert "prep_misses" not in warm_totals
+        assert warm_totals.get("prep_hits") == len(machines)
+        cold_walls.append(cold_wall)
+        warm_walls.append(warm_wall)
+    ratios = [cold / warm for cold, warm in zip(cold_walls, warm_walls)]
 
     assert [r.stats for r in cold_results] == [
         r.stats for r in warm_results
@@ -195,11 +210,14 @@ def test_prep_cache_snapshot(tmp_path, monkeypatch):
             "persisted preps/ slices; cold: same chain rebuilding "
             "every prep layer per point)"
         ),
+        "gate": _GATE,
         "sweep": {
             "points": len(machines),
-            "cold_wall_s": round(cold_wall, 3),
-            "warm_wall_s": round(warm_wall, 3),
-            "speedup": round(cold_wall / warm_wall, 2),
+            "pairs": _PAIRS,
+            "cold_wall_s": round(statistics.median(cold_walls), 3),
+            "warm_wall_s": round(statistics.median(warm_walls), 3),
+            "speedup": round(statistics.median(ratios), 2),
+            "pair_speedups": [round(ratio, 2) for ratio in ratios],
         },
         "counters": {
             "build_pass": build_totals,
@@ -222,7 +240,7 @@ def test_prep_cache_snapshot(tmp_path, monkeypatch):
     (RESULTS_DIR / "BENCH_prep_cache.json").write_text(
         json.dumps(snapshot, indent=2) + "\n"
     )
-    assert snapshot["sweep"]["speedup"] >= 1.3, (
-        f"warm prep sweep speedup {snapshot['sweep']['speedup']}x "
-        "< 1.3x target"
+    assert snapshot["sweep"]["speedup"] >= _GATE, (
+        f"median warm prep sweep speedup {snapshot['sweep']['speedup']}x "
+        f"< {_GATE}x target"
     )

@@ -24,10 +24,11 @@ instruction traces out of ``results/.cache/traces/`` (equivalent to
 ``REPRO_TRACE_CACHE=0``; in-process capture/replay still applies), and
 ``--profile`` (or ``REPRO_PROFILE=1``) to wrap every engine job in
 cProfile.  Engine-backed commands write a
-machine-readable ``results/run_manifest.json`` (config, per-job timings,
-status/attempts/error, simulated KIPS, cache hit/miss counts) next to the
-regenerated table; profiled runs additionally write
-``results/run_manifest.profile.txt``.
+machine-readable ``run_manifest.json`` (config, per-job timings,
+status/attempts/error, simulated KIPS, cache hit/miss counts) into the
+parent of the cache root -- ``results/`` unless ``REPRO_CACHE_DIR``
+moves the cache elsewhere; profiled runs additionally write
+``run_manifest.profile.txt`` beside it.
 
 Robustness (see EXPERIMENTS.md "Robustness"): a failed/hung job is
 isolated and reported instead of aborting the sweep; ``--job-timeout S``
@@ -48,7 +49,7 @@ import sys
 from typing import List, Optional
 
 from .experiments import ExperimentEngine, RunConfig, run_benchmark
-from .experiments.engine import RESULTS_DIR
+from .experiments.cachectl import run_manifest_path
 
 
 def _config(args) -> RunConfig:
@@ -87,7 +88,7 @@ def _engine(args) -> ExperimentEngine:
             retries=getattr(args, "retries", None),
         )
         # So an interrupted map() can still leave a partial manifest.
-        args.engine.manifest_path = RESULTS_DIR / "run_manifest.json"
+        args.engine.manifest_path = run_manifest_path(args.engine.cache_dir)
     return args.engine
 
 
@@ -96,7 +97,8 @@ def _finish(args, config: Optional[RunConfig] = None) -> None:
     engine = args.engine
     if engine is None or not engine.records:
         return
-    engine.write_manifest(RESULTS_DIR / "run_manifest.json", config=config)
+    manifest_path = run_manifest_path(engine.cache_dir)
+    engine.write_manifest(manifest_path, config=config)
     counts = engine.status_counts()
     health = ""
     if counts["failed"] or counts["timeout"] or counts["skipped"]:
@@ -111,7 +113,7 @@ def _finish(args, config: Optional[RunConfig] = None) -> None:
         f"{engine.total_wall_s:.1f}s job time, "
         f"{engine.total_simulated_cycles} cycles simulated "
         f"({engine.total_sim_kips:.0f} KIPS); "
-        f"manifest: {RESULTS_DIR / 'run_manifest.json'}\n"
+        f"manifest: {manifest_path}\n"
     )
     if engine.failures:
         for record in engine.failures:
@@ -125,7 +127,7 @@ def _finish(args, config: Optional[RunConfig] = None) -> None:
         )
     if engine.profiles:
         sys.stderr.write(
-            f"profiles: {RESULTS_DIR / 'run_manifest.profile.txt'}\n"
+            f"profiles: {manifest_path.with_suffix('.profile.txt')}\n"
         )
 
 

@@ -59,6 +59,15 @@ def cache_root(cache_dir: Optional[pathlib.Path] = None) -> pathlib.Path:
     )
 
 
+def run_manifest_path(
+    cache_dir: Optional[pathlib.Path] = None,
+) -> pathlib.Path:
+    """Where the CLI keeps the last run's manifest: beside the cache
+    root, so ``results/`` for the default root and never the checkout
+    when ``REPRO_CACHE_DIR`` points elsewhere."""
+    return cache_root(cache_dir).resolve().parent / "run_manifest.json"
+
+
 @dataclass
 class SectionStats:
     name: str
@@ -319,9 +328,7 @@ def artifact_counters(
     """The ``totals.artifacts`` counters of the last run manifest
     (schema >= 4), or ``None`` when absent/unreadable/older-schema."""
     if manifest_path is None:
-        from .engine import RESULTS_DIR
-
-        manifest_path = RESULTS_DIR / "run_manifest.json"
+        manifest_path = run_manifest_path()
     try:
         manifest = json.loads(pathlib.Path(manifest_path).read_text())
     except (OSError, ValueError):

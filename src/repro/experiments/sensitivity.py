@@ -10,6 +10,9 @@ We run the same ladder (bimodal -> gshare -> hybrid -> TAGE -> ISL-TAGE)
 and report, per benchmark and predictor: the baseline misprediction rate
 and the decomposed-over-baseline speedup, plus the fitted
 speedup-per-accuracy slope.
+
+One engine job runs a benchmark's whole ladder: its workloads are built
+and its baseline compiled once, not once per rung.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ from ..branchpred import (
 )
 from ..compiler import compile_baseline, compile_decomposed
 from ..ir import lower
-from ..uarch import InOrderCore, MachineConfig
+from ..uarch import MachineConfig
 from ..workloads import spec_benchmark
 from .artifacts import get_store
-from .engine import ExperimentEngine, fingerprint, get_engine
+from .engine import ExperimentEngine, get_engine
 from .harness import RunConfig
 
 #: The hard-to-predict benchmarks the paper calls out.
@@ -58,7 +61,9 @@ class SensitivityPoint:
 @dataclass
 class SensitivityResult:
     points: List[SensitivityPoint]
-    #: Labels of ladder rungs whose engine jobs failed (points omitted).
+    #: ``sensitivity:<benchmark>:<predictor>`` labels of the rungs whose
+    #: benchmark's engine job failed (points omitted; a failed job
+    #: drops its benchmark's whole ladder).
     failed: List[str] = dataclass_field(default_factory=list)
 
     def slope(self, benchmark: str) -> float:
@@ -108,71 +113,64 @@ class SensitivityResult:
 
 
 def _sensitivity_job(payload) -> Dict:
-    """One (benchmark, predictor) rung of the ladder; engine-mappable.
+    """The whole predictor ladder of one benchmark; engine-mappable.
 
-    The functional TRAIN branch stream is predictor-independent and
-    shared through the artifact store, so a whole ladder costs one
-    functional run plus one (cheap) measurement per rung; the baseline
-    program's committed stream is predictor-independent too, so every
+    TRAIN is built and lowered once and REF is built once.  Each rung
+    profiles TRAIN with its own predictor (the functional TRAIN branch
+    stream is predictor-independent and shared through the artifact
+    store, so a rung costs one cheap measurement) and compiles its own
+    decomposed binary.  The baseline binary is compiled once: layout
+    reads only execution and taken counts, which no predictor changes,
+    and its committed stream is predictor-independent too, so every
     rung replays the same baseline trace.
     """
-    import json
-
-    name, pred_name, config = payload
-    factory = dict(LADDER)[pred_name]
+    name, config = payload
     store = get_store()
     mark = store.mark()
     spec = spec_benchmark(name, iterations=config.iterations)
-    train = spec.build(seed=config.train_seed)
+    train = lower(spec.build(seed=config.train_seed))
     ref = spec.build(seed=config.ref_seeds[0])
-    # Profile/select with the same predictor the hardware runs:
-    # better predictors expose more candidates, as in the paper.
-    profile = store.profile(
-        lower(train),
-        max_instructions=config.max_instructions,
-        predictor_factory=factory,
-    )
-    content = (
-        f"sensitivity|{name}|{pred_name}|it={config.iterations}"
-        f"|train={config.train_seed}|ref={config.ref_seeds[0]}"
-        f"|budget={config.max_instructions}"
-    )
-    knobs = json.dumps(
-        fingerprint((config.selection, config.transform)), sort_keys=True
-    )
-    baseline = store.compile(
-        f"baseline|{content}",
-        lambda: compile_baseline(ref, profile=profile),
-    )
-    decomposed = store.compile(
-        f"decomposed|{content}|{knobs}",
-        lambda: compile_decomposed(
+    baseline = None
+    rungs = []
+    cycles = committed = 0
+    for pred_name, factory in LADDER:
+        # Profile/select with the same predictor the hardware runs:
+        # better predictors expose more candidates, as in the paper.
+        profile = store.profile(
+            train,
+            max_instructions=config.max_instructions,
+            predictor_factory=factory,
+        )
+        if baseline is None:
+            baseline = compile_baseline(ref, profile=profile).program
+        decomposed = compile_decomposed(
             ref,
             profile=profile,
             selection_config=config.selection,
             transform_config=config.transform,
-        ),
-    )
-    machine = MachineConfig.paper_default().with_predictor(factory)
-    # Sweep front door (K=1 per program here: the ladder sweeps
-    # predictors across jobs, and each predictor is its own prep
-    # slice, so there is nothing to fuse within a job).
-    [base_run] = store.simulate_inorder_sweep(
-        baseline.program, [machine],
-        max_instructions=config.max_instructions,
-    )
-    [dec_run] = store.simulate_inorder_sweep(
-        decomposed.program, [machine],
-        max_instructions=config.max_instructions,
-    )
-    total = base_run.stats.cond_branches or 1
+        ).program
+        machine = MachineConfig.paper_default().with_predictor(factory)
+        # One point per program and rung: each predictor is its own
+        # prep slice, so there is nothing to fuse across rungs.
+        [base_run] = store.simulate_inorder_sweep(
+            baseline, [machine], max_instructions=config.max_instructions
+        )
+        [dec_run] = store.simulate_inorder_sweep(
+            decomposed, [machine], max_instructions=config.max_instructions
+        )
+        total = base_run.stats.cond_branches or 1
+        rungs.append({
+            "predictor": pred_name,
+            "mispredict_rate":
+                100.0 * base_run.stats.cond_mispredicts / total,
+            "speedup": speedup_percent(base_run, dec_run),
+        })
+        cycles += base_run.cycles + dec_run.cycles
+        committed += base_run.stats.committed + dec_run.stats.committed
     return {
-        "mispredict_rate": 100.0 * base_run.stats.cond_mispredicts / total,
-        "speedup": speedup_percent(base_run, dec_run),
-        "simulated_cycles": base_run.cycles + dec_run.cycles,
-        "committed_instructions": (
-            base_run.stats.committed + dec_run.stats.committed
-        ),
+        "rungs": rungs,
+        "simulated_cycles": cycles,
+        "committed_instructions": committed,
         "artifacts": store.delta(mark),
     }
 
@@ -183,33 +181,23 @@ def run(
     engine: Optional[ExperimentEngine] = None,
 ) -> SensitivityResult:
     config = config or RunConfig()
-    payloads = [
-        (name, pred_name, config)
-        for name in benchmarks
-        for pred_name, _ in LADDER
-    ]
-    labels = [f"sensitivity:{n}:{p}" for n, p, _ in payloads]
     results = get_engine(engine).map(
         _sensitivity_job,
-        payloads,
-        labels=labels,
-        groups=[n for n, _, _ in payloads],
+        [(name, config) for name in benchmarks],
+        labels=[f"sensitivity:{name}" for name in benchmarks],
     )
-    points = [
-        SensitivityPoint(
-            benchmark=name,
-            predictor=pred_name,
-            mispredict_rate=result["mispredict_rate"],
-            speedup=result["speedup"],
+    points: List[SensitivityPoint] = []
+    failed: List[str] = []
+    for name, result in zip(benchmarks, results):
+        if result is None:
+            failed.extend(
+                f"sensitivity:{name}:{pred_name}" for pred_name, _ in LADDER
+            )
+            continue
+        points.extend(
+            SensitivityPoint(benchmark=name, **rung)
+            for rung in result["rungs"]
         )
-        for (name, pred_name, _), result in zip(payloads, results)
-        if result is not None
-    ]
-    failed = [
-        label
-        for label, result in zip(labels, results)
-        if result is None
-    ]
     return SensitivityResult(points=points, failed=failed)
 
 

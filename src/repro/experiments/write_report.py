@@ -115,7 +115,10 @@ def render(data: Dict) -> str:
     parts.append("")
     parts.append(
         "Ladder: bimodal -> gshare -> hybrid-24KB -> TAGE -> ISL-TAGE-64KB. "
-        "Full per-point data in results/sec53_predictor_sensitivity.txt.\n"
+        "Full per-point data in results/sec53_predictor_sensitivity.txt. "
+        "One engine job runs a benchmark's whole ladder (four jobs for the "
+        "four benchmarks); see \"One job per benchmark on the ladder\" "
+        "below.\n"
     )
 
     parts.append("## Figure 14 — issued-instruction overhead\n")
@@ -221,7 +224,8 @@ def render(data: Dict) -> str:
         "the directory to clear it.\n"
         "* **Manifests**: each regenerated table/figure gets a "
         "`results/<name>.manifest.json` (the CLI writes "
-        "`results/run_manifest.json`) with this schema:\n\n"
+        "`run_manifest.json` into the cache root's parent directory, "
+        "`results/` by default) with this schema:\n\n"
         "```json\n"
         "{\n"
         '  "schema": 1,\n'

@@ -1,8 +1,11 @@
 """The ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.engine import RESULTS_DIR
 
 
 class TestParser:
@@ -49,10 +52,27 @@ class TestParser:
 class TestExecution:
     @pytest.fixture(autouse=True)
     def _sandbox_results(self, tmp_path, monkeypatch):
-        """Keep CLI runs from clobbering the committed results/ samples
-        (run_manifest.json) or the shared artifact cache."""
-        monkeypatch.setattr("repro.cli.RESULTS_DIR", tmp_path)
+        """Keep CLI runs out of the shared artifact cache; the run
+        manifest follows the cache root into ``tmp_path``."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / ".cache"))
+
+    def test_manifest_follows_relocated_cache(self, tmp_path, capsys):
+        """With ``REPRO_CACHE_DIR`` set, the run manifest lands beside
+        that cache root and the checkout's results/ is left alone."""
+        committed = RESULTS_DIR / "run_manifest.json"
+        before = (
+            (committed.read_bytes(), committed.stat().st_mtime_ns)
+            if committed.exists() else None
+        )
+        assert main(["--iterations", "120", "bench", "omnetpp"]) == 0
+        after = (
+            (committed.read_bytes(), committed.stat().st_mtime_ns)
+            if committed.exists() else None
+        )
+        assert after == before
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["totals"]["jobs"] >= 1
+        assert str(tmp_path / "run_manifest.json") in capsys.readouterr().err
 
     def test_bench_command(self, capsys):
         assert main(["--iterations", "120", "bench", "omnetpp"]) == 0

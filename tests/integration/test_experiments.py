@@ -2,19 +2,25 @@
 
 import pytest
 
-from repro.experiments import RunConfig, run_benchmark
+from repro.compiler import compile_baseline
+from repro.experiments import ExperimentEngine, RunConfig, run_benchmark
 from repro.experiments.ablations import (
     dbb_occupancy,
     hoist_depth_sweep,
     push_down_ablation,
     selection_threshold_sweep,
 )
+from repro.experiments.artifacts import get_store
+from repro.experiments.faults import FaultPlan
 from repro.experiments.pred_vs_bias import run as run_pred_vs_bias
 from repro.experiments.sensitivity import LADDER, run as run_sensitivity
 from repro.experiments.side_effects import run_icache, run_issue_increase
 from repro.experiments.speedups import FIGURES, run_figure
 from repro.experiments.taxonomy import run as run_taxonomy
 from repro.core import BranchClass
+from repro.ir import lower
+from repro.uarch.trace import content_digest
+from repro.workloads import spec_benchmark
 
 QUICK = RunConfig.quick()
 
@@ -96,6 +102,70 @@ class TestSensitivity:
             assert 0.0 <= point.mispredict_rate <= 100.0
         assert isinstance(result.slope("astar"), float)
         assert "sensitivity" in result.render().lower()
+
+
+class TestSensitivityJobGrain:
+    """One engine job runs one benchmark's whole ladder."""
+
+    BENCHMARKS = ("astar", "sjeng")
+
+    def _run(self, jobs):
+        engine = ExperimentEngine(jobs=jobs, use_cache=False, run_id=None)
+        return run_sensitivity(
+            benchmarks=self.BENCHMARKS, config=QUICK, engine=engine
+        ), engine
+
+    def test_one_job_per_benchmark_and_jobs_invariant(self):
+        serial, engine = self._run(jobs=1)
+        assert [r["label"] for r in engine.records] == [
+            f"sensitivity:{name}" for name in self.BENCHMARKS
+        ]
+        assert len(serial.points) == len(self.BENCHMARKS) * len(LADDER)
+        assert not serial.failed
+        parallel, _ = self._run(jobs=2)
+        assert parallel.render() == serial.render()
+
+    @pytest.mark.faults
+    def test_failed_job_drops_its_whole_ladder(self, monkeypatch):
+        def plan(seed):
+            return FaultPlan(rates={"crash": 0.5}, seed=seed)
+
+        seed = next(
+            seed for seed in range(1000)
+            if plan(seed).decide("crash", "sensitivity:astar")
+            and not plan(seed).decide("crash", "sensitivity:sjeng")
+        )
+        monkeypatch.setenv("REPRO_FAULT_INJECT", f"crash:0.5@seed={seed}")
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        result, _ = self._run(jobs=1)
+        assert result.failed == [
+            f"sensitivity:astar:{name}" for name, _ in LADDER
+        ]
+        assert [(p.benchmark, p.predictor) for p in result.points] == [
+            ("sjeng", name) for name, _ in LADDER
+        ]
+        monkeypatch.delenv("REPRO_FAULT_INJECT")
+        clean, _ = self._run(jobs=1)
+        assert result.points == [
+            p for p in clean.points if p.benchmark == "sjeng"
+        ]
+
+    def test_baseline_binary_is_predictor_independent(self):
+        """The job compiles the baseline once, under the first rung's
+        profile; every rung's profile must lay it out identically."""
+        spec = spec_benchmark("astar", iterations=QUICK.iterations)
+        train = lower(spec.build(seed=QUICK.train_seed))
+        ref = spec.build(seed=QUICK.ref_seeds[0])
+        store = get_store()
+        digests = {
+            content_digest(compile_baseline(ref, profile=store.profile(
+                train,
+                max_instructions=QUICK.max_instructions,
+                predictor_factory=factory,
+            )).program)
+            for _, factory in LADDER
+        }
+        assert len(digests) == 1
 
 
 class TestSideEffects:
